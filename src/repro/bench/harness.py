@@ -4,27 +4,25 @@ Run it through the CLI (no ``PYTHONPATH`` gymnastics) ::
 
     python -m repro bench                      # full run, all backends
     python -m repro bench --smoke              # CI quick pass
-    python -m repro bench --kernel wheel       # time one backend only
+    python -m repro bench --kernel compiled    # time one backend only
     python -m repro bench --smoke --enforce-floor   # CI regression gate
 
-or via the ``benchmarks/perf_harness.py`` shim.  Sections written to
-``BENCH_kernel.json`` (``--out``):
+Sections written to ``BENCH_kernel.json`` (``--out``):
 
 * ``kernel.<backend>.int_yield`` -- pure event throughput per scheduler
-  backend (heap vs timing wheel vs compiled): 64 processes each doing
+  backend (heap vs compiled): 64 processes each doing
   2000 one-cycle delay yields.  Events/sec uses the nominal event count
   (procs x yields) so the figure is comparable across kernel versions.
 * ``kernel.<backend>.mixed`` -- composite workload exercising Timeout
   pooling, Event succeed/fail, AnyOf/AllOf, and interrupt wakeups.
-* ``ab`` -- challenger-vs-heap ratios when both sides were timed.  The
-  full-run gates require the wheel to reach at least
-  ``gates.wheel_vs_heap_int_yield`` (1.5x) heap throughput and the
-  compiled backend ``gates.compiled_vs_heap_int_yield`` (5.0x).
+* ``ab`` -- compiled-vs-heap ratios when both sides were timed.  The
+  full-run gate requires the compiled backend to reach at least
+  ``gates.compiled_vs_heap_int_yield`` (5.0x) heap throughput.
 * ``table2.<backend>`` -- Table II wall time, sequential vs parallel
   runner, best-of-``--rounds`` after a warm-up; parallel rows must be
   bit-identical to sequential rows and pass ``check_table2_shape``.
 * ``backend_parity`` -- Tables II-V executed serially on *every* backend
-  (heap, wheel, compiled -- even under ``--kernel``/``--smoke``);
+  (heap and compiled -- even under ``--kernel``/``--smoke``);
   ``rows_identical`` must be true for every table (Table V rows are
   compared without the wall-clock ``generation_time_ms`` field).
 * ``run_report`` -- one traced Table II case's telemetry summary, so
@@ -37,12 +35,12 @@ is not skewed by machine heat from the long table runs.
 Baselines live in the checked-in ``benchmarks/baselines.json`` (they are
 *read*, never rewritten, so they cannot drift when this harness rewrites
 its output): the frozen seed-tree numbers (commit 2988a20), the vs-seed
-gate floors, the wheel-vs-heap floor, and the per-backend CI floor
+gate floors, the compiled-vs-heap floor, and the per-backend CI floor
 references.  Outside ``--smoke`` the run fails (exit 1) on any parity or
 identity failure, on a *heap* vs-seed speedup below its floor (the
-floors were calibrated for the seed's default scheduler; the wheel's
-vs-seed numbers are informational), or on a wheel/compiled A/B ratio
-below its floor.  ``--enforce-floor`` additionally times the
+floors were calibrated for the seed's default scheduler; the compiled
+backend's vs-seed numbers are informational), or on the compiled A/B
+ratio below its floor.  ``--enforce-floor`` additionally times the
 full-size ``int_yield`` workload (cheap, ~0.2 s) and fails on a
 ``gates.ci_regression_tolerance`` (20 %) events/sec regression against
 the per-backend ``ci_floor`` references -- the CI guard.
@@ -244,63 +242,6 @@ def bench_run_report(kernel: str, packets: int) -> dict:
     }
 
 
-def bench_counters(kernel: str = "compiled", packets: int = 2, rounds: int = 1) -> dict:
-    """Counter-plane cost on the compiled fast path (docs/observability.md).
-
-    Times one OFDM run with and without a bound
-    :class:`~repro.obs.counters.CounterPlane` and checks the three
-    zero-despecialization claims: the machine stays specialized, the
-    simulated cycle count is bit-identical, and counter totals match
-    :class:`~repro.sim.stats.BusStats`.  ``overhead_fraction`` is the
-    relative wall-time cost of the baked increments (gated against
-    ``gates.counters_overhead_max`` outside ``--smoke``).
-    """
-    from ..apps.ofdm import OfdmParameters, run_ofdm
-    from ..options import presets
-    from ..sim.fabric import MachineBuilder
-
-    def one(with_counters: bool):
-        builder = MachineBuilder(presets.preset("GBAVIII", 4)).with_kernel(kernel)
-        if with_counters:
-            builder.with_counters()
-        machine = builder.build()
-        start = time.perf_counter()
-        result = run_ofdm(machine, "FPA", OfdmParameters(packets=packets))
-        return machine, result.cycles, time.perf_counter() - start
-
-    off_samples: List[float] = []
-    on_samples: List[float] = []
-    cycles_off = cycles_on = None
-    stayed_specialized = True
-    counters_match_stats = True
-    for _ in range(max(1, rounds)):
-        _machine, cycles_off, wall = one(False)
-        off_samples.append(wall)
-        machine, cycles_on, wall = one(True)
-        on_samples.append(wall)
-        stayed_specialized = stayed_specialized and machine._specialized
-        counters_match_stats = (
-            counters_match_stats and not machine.counters.check_against_stats(machine)
-        )
-    seconds_off = min(off_samples)
-    seconds_on = min(on_samples)
-    return {
-        "kernel": kernel,
-        "packets": packets,
-        "rounds": len(off_samples),
-        "cycles_off": cycles_off,
-        "cycles_on": cycles_on,
-        "bit_identical": cycles_on == cycles_off,
-        "stayed_specialized": stayed_specialized,
-        "counters_match_stats": counters_match_stats,
-        "seconds_off": seconds_off,
-        "seconds_on": seconds_on,
-        "overhead_fraction": (
-            (seconds_on - seconds_off) / seconds_off if seconds_off > 0 else 0.0
-        ),
-    }
-
-
 def bench_dse_sweep(smoke: bool = False, kernel: str = "compiled") -> dict:
     """Cold-vs-warm DSE sweep throughput (docs/dse.md).
 
@@ -482,24 +423,18 @@ def run_harness(
         }
 
     ab: Dict[str, float] = {}
-    if "heap" in kernel_section:
-        for challenger in ("wheel", "compiled"):
-            if challenger not in kernel_section:
-                continue
-            ab["int_yield_events_per_sec_%s_vs_heap" % challenger] = (
-                kernel_section[challenger]["int_yield"]["events_per_sec"]
-                / kernel_section["heap"]["int_yield"]["events_per_sec"]
-            )
-            ab["mixed_speedup_%s_vs_heap" % challenger] = (
-                kernel_section["heap"]["mixed"]["seconds"]
-                / kernel_section[challenger]["mixed"]["seconds"]
-            )
+    if "heap" in kernel_section and "compiled" in kernel_section:
+        ab["int_yield_events_per_sec_compiled_vs_heap"] = (
+            kernel_section["compiled"]["int_yield"]["events_per_sec"]
+            / kernel_section["heap"]["int_yield"]["events_per_sec"]
+        )
+        ab["mixed_speedup_compiled_vs_heap"] = (
+            kernel_section["heap"]["mixed"]["seconds"]
+            / kernel_section["compiled"]["mixed"]["seconds"]
+        )
 
     parity = bench_backend_parity(scales["parity_packets"], jobs=1 if smoke else jobs)
     run_report = bench_run_report(kernels[0], scales["report_packets"])
-    counters = bench_counters(
-        packets=scales["report_packets"], rounds=1 if smoke else max(1, rounds)
-    )
     dse_sweep = bench_dse_sweep(smoke=smoke)
 
     failures: List[str] = []
@@ -520,24 +455,6 @@ def run_harness(
                 "dse_sweep: warm only %.1fx cold, below the %.1fx floor"
                 % (dse_sweep["speedup"], speedup_floor)
             )
-    # Counter-plane identity gates run even under --smoke: they are
-    # determinism checks, not timing checks.
-    if not counters["bit_identical"]:
-        failures.append(
-            "counters: cycle count changed with the plane bound (%s != %s)"
-            % (counters["cycles_on"], counters["cycles_off"])
-        )
-    if not counters["stayed_specialized"]:
-        failures.append("counters: compiled backend despecialized under counters")
-    if not counters["counters_match_stats"]:
-        failures.append("counters: totals diverged from BusStats")
-    overhead_max = gates.get("counters_overhead_max")
-    if not smoke and overhead_max is not None:
-        if counters["overhead_fraction"] > overhead_max:
-            failures.append(
-                "counters: overhead %.3f above the %.3f budget"
-                % (counters["overhead_fraction"], overhead_max)
-            )
     for kernel, table2 in table2_section.items():
         if not table2["rows_identical"]:
             failures.append(
@@ -556,12 +473,10 @@ def run_harness(
     if not smoke:
         # vs_seed floors gate the *heap* backend only: they were calibrated
         # against the seed tree's default scheduler, which heap descends
-        # from.  The wheel is a different structure with a different profile
-        # (~2x heap on event-dense traffic, slightly behind it on the
-        # sparse, overflow-dominated table workloads -- docs/performance.md)
-        # and is gated by its own design targets below: the A/B int_yield
-        # floor and backend parity.  Its vs_seed speedups stay in the
-        # report as information.
+        # from.  The compiled backend is a different structure with a
+        # different profile and is gated by its own design targets below:
+        # the A/B int_yield floor and backend parity.  Its vs_seed speedups
+        # stay in the report as information.
         if "heap" in vs_seed:
             for key, floor in gates["vs_seed"].items():
                 if vs_seed["heap"][key] < floor:
@@ -569,17 +484,13 @@ def run_harness(
                         "heap: vs_seed[%s] = %.2fx below the %.2fx floor"
                         % (key, vs_seed["heap"][key], floor)
                     )
-        for challenger in ("wheel", "compiled"):
-            key = "int_yield_events_per_sec_%s_vs_heap" % challenger
-            if key not in ab:
-                continue
-            ratio = ab[key]
-            floor = gates["%s_vs_heap_int_yield" % challenger]
-            if ratio < floor:
-                failures.append(
-                    "%s int_yield only %.2fx heap, below the %.2fx floor"
-                    % (challenger, ratio, floor)
-                )
+        ratio = ab.get("int_yield_events_per_sec_compiled_vs_heap")
+        floor = gates["compiled_vs_heap_int_yield"]
+        if ratio is not None and ratio < floor:
+            failures.append(
+                "compiled int_yield only %.2fx heap, below the %.2fx floor"
+                % (ratio, floor)
+            )
 
     ci_floor = None
     if enforce_floor:
@@ -618,7 +529,6 @@ def run_harness(
         "table2": table2_section,
         "backend_parity": parity,
         "run_report": run_report,
-        "counters": counters,
         "dse_sweep": dse_sweep,
         "baselines": baselines,
         "vs_seed": vs_seed,
@@ -682,33 +592,19 @@ def _print_summary(report: dict) -> None:
                 speedups["table2_parallel_seconds"],
             )
         )
-    for challenger in ("wheel", "compiled"):
-        key = "int_yield_events_per_sec_%s_vs_heap" % challenger
-        if key in report["ab"]:
-            print(
-                "ab        : %-8s int_yield %.2fx heap, mixed %.2fx heap"
-                % (
-                    challenger,
-                    report["ab"][key],
-                    report["ab"]["mixed_speedup_%s_vs_heap" % challenger],
-                )
+    if "int_yield_events_per_sec_compiled_vs_heap" in report["ab"]:
+        print(
+            "ab        : compiled int_yield %.2fx heap, mixed %.2fx heap"
+            % (
+                report["ab"]["int_yield_events_per_sec_compiled_vs_heap"],
+                report["ab"]["mixed_speedup_compiled_vs_heap"],
             )
+        )
     parity = ", ".join(
         "%s=%s" % (name, entry["rows_identical"])
         for name, entry in sorted(report["backend_parity"].items())
     )
     print("parity    : %s" % parity)
-    counters = report.get("counters")
-    if counters:
-        print(
-            "counters  : %s overhead %+.1f%%, bit_identical=%s, specialized=%s"
-            % (
-                counters["kernel"],
-                100.0 * counters["overhead_fraction"],
-                counters["bit_identical"],
-                counters["stayed_specialized"],
-            )
-        )
     dse_sweep = report.get("dse_sweep")
     if dse_sweep:
         print(

@@ -368,7 +368,7 @@ _PROFILE_CASES = {
 def _cmd_profile(args) -> int:
     """Run one representative case of a table under cProfile and print the
     top cumulative-time hotspots (the workflow behind the kernel fast
-    paths; see benchmarks/perf_harness.py for the regression side)."""
+    paths; see ``repro bench`` for the regression side)."""
     import cProfile
     import importlib
     import json
@@ -475,7 +475,7 @@ def _cmd_chaos(args) -> int:
 
     from .faults.chaos import CHAOS_ARCHITECTURES, format_chaos_summary, run_chaos
 
-    backends = tuple(args.backend) if args.backend else ("heap", "wheel")
+    backends = tuple(args.backend) if args.backend else ("heap", "compiled")
     start = time.perf_counter()
     summary = run_chaos(
         seed=args.seed,
@@ -525,7 +525,7 @@ def _cmd_verify(args) -> int:
     archs = args.arch
     if not archs:
         archs = SMOKE_ARCHITECTURES if args.smoke else None
-    backends = tuple(args.backend) if args.backend else ("heap", "wheel")
+    backends = tuple(args.backend) if args.backend else ("heap", "compiled")
     start = time.perf_counter()
     summary = run_verify(
         archs=archs,
@@ -1006,9 +1006,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         action="append",
         choices=list(KERNEL_BACKENDS),
-        help="scheduler backend (repeatable; default: heap+wheel, with "
-        "parity check; compiled despecializes under faults, so adding it "
-        "re-proves the generic-path fallback)",
+        help="scheduler backend (repeatable; default: heap+compiled, with "
+        "parity check; compiled despecializes under faults, so the sweep "
+        "also proves the generic-path fallback)",
     )
     chaos.add_argument("--packets", type=int, default=4, help="OFDM packets per run")
     chaos.add_argument("--pes", type=int, default=4, help="processor count")
@@ -1042,9 +1042,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         action="append",
         choices=list(KERNEL_BACKENDS),
-        help="scheduler backend (repeatable; default: heap+wheel, with "
-        "parity check; monitors despecialize the compiled backend, so "
-        "adding it re-proves the generic-path fallback)",
+        help="scheduler backend (repeatable; default: heap+compiled, with "
+        "parity check; monitors despecialize the compiled backend, so the "
+        "sweep also proves the generic-path fallback)",
     )
     verify.add_argument("--packets", type=int, default=2, help="OFDM packets per run")
     verify.add_argument("--pes", type=int, default=4, help="processor count")
@@ -1208,8 +1208,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .sim.kernel import SimulationError, default_kernel
+
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        # A bad $REPRO_SIM_KERNEL is a usage error: report it before any
+        # verb runs, not as a SimulationError traceback from inside one.
+        default_kernel()
+    except SimulationError as error:
+        print("repro: error: %s" % error, file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except OptionError as error:

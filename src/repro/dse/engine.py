@@ -25,13 +25,13 @@ hashed summaries, frontiers and ledger record hashes.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.busyn import BusSyn
 from ..experiments.runner import run_cases
 from ..obs.ledger import content_hash, scrub_timings
+from ..sim.kernel import default_kernel
 from .cache import DEFAULT_CACHE_DIR, ArtifactCache
 from .pareto import axes_for, pareto_frontier, rank_rows
 from .spec import DseConfig, SweepSpec, build_config_spec
@@ -52,7 +52,9 @@ DEFAULT_DSE_KERNEL = "compiled"
 
 
 def resolve_kernel(kernel: Optional[str]) -> str:
-    return kernel or os.environ.get("REPRO_SIM_KERNEL") or DEFAULT_DSE_KERNEL
+    """``kernel``, else ``$REPRO_SIM_KERNEL`` (normalised and checked by
+    :func:`~repro.sim.kernel.default_kernel`), else the compiled default."""
+    return kernel or default_kernel(fallback=DEFAULT_DSE_KERNEL)
 
 
 def shard_of(key: str, shards: int) -> int:

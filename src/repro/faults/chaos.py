@@ -17,15 +17,13 @@ and then asserts the chaos invariants:
    injected faults (``unaccounted == 0``);
 3. empty-plan identity -- ``empty`` matches ``baseline`` cycle-for-cycle;
 4. backend parity -- ``faulted`` outcomes (cycles, episode ledger, all
-   counters) are identical on the heap and wheel kernels.
+   counters) are identical on the heap and compiled kernels.
 
-Every case additionally runs with a
-:class:`~repro.obs.counters.CounterPlane` attached, so each row carries
-per-segment transaction/grant/wait totals.  Those totals must match
-:class:`BusStats` in the fault-free modes and be identical across
-backends in *every* mode -- under injection a watchdog redelivery can
-legitimately re-grant, so chaos gates grants by parity rather than by
-the arbiter's own count.
+Every row additionally carries its machine's per-segment bus counts
+(:meth:`~repro.sim.fabric.Machine.bus_snapshot`: ``BusStats`` plus arbiter
+grants), which must be identical across backends in *every* mode -- under
+injection a watchdog redelivery can legitimately re-grant, so chaos gates
+grants by parity rather than by equating them with retired tenures.
 
 Cases fan out over the parallel experiment runner, so ``repro chaos
 --jobs N`` sweeps architectures concurrently with deterministic results.
@@ -79,7 +77,6 @@ def run_chaos_case(
     """Run one ``(arch, style, backend, mode)`` chaos case; picklable."""
     arch, style, backend, mode = case
     machine = build_machine(presets.preset(arch, pe_count), kernel=backend)
-    plane = machine.attach_counters()
     injector = None
     monitor = None
     if mode != "baseline":
@@ -108,13 +105,6 @@ def run_chaos_case(
             "%s: protocol %s" % (arch, finding)
             for finding in monitor.finalize()
         ]
-    if mode != "faulted":
-        # Fault-free counters must agree with BusStats exactly; faulted
-        # runs are gated by cross-backend parity in run_chaos instead.
-        unfinished += [
-            "%s/%s counters: %s" % (arch, backend, text)
-            for text in plane.check_against_stats(machine)
-        ]
     out: Dict[str, Any] = {
         "arch": arch,
         "style": style,
@@ -122,7 +112,7 @@ def run_chaos_case(
         "mode": mode,
         "cycles": result.cycles,
         "throughput_mbps": result.throughput_mbps,
-        "counters": plane.totals(),
+        "bus": machine.bus_snapshot(),
         "invariant_failures": unfinished,
     }
     if injector is not None:
@@ -137,7 +127,7 @@ def run_chaos(
     seed: int = 0,
     scenario: str = "smoke",
     archs: Optional[Sequence[str]] = None,
-    backends: Sequence[str] = ("heap", "wheel"),
+    backends: Sequence[str] = ("heap", "compiled"),
     packets: int = 4,
     pe_count: int = 4,
     jobs: int = 1,
@@ -227,9 +217,9 @@ def run_chaos(
                             other["cycles"],
                         )
                     )
-                if other["counters"] != reference["counters"]:
+                if other["bus"] != reference["bus"]:
                     failures.append(
-                        "%s/%s: counter totals diverge between %s and %s"
+                        "%s/%s: bus counts diverge between %s and %s"
                         % (arch, mode, reference_backend, backend)
                     )
                 if mode == "faulted":
@@ -269,7 +259,7 @@ def format_chaos_summary(summary: Dict[str, Any]) -> List[str]:
             continue
         resilience = row["resilience"]
         lines.append(
-            "  %-8s %-4s %-5s  %8d cycles  planned %2d fired %2d "
+            "  %-8s %-4s %-8s  %8d cycles  planned %2d fired %2d "
             "recovered %2d residual %2d accounted %2d dormant %2d"
             % (
                 row["arch"],

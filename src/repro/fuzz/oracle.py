@@ -16,9 +16,9 @@ into one verdict:
   (injected == recovered + residual + accounted) plus PE completion;
   a ``fault_scale`` of 0 skips the check (the shrinker's "no fault plan
   needed" direction);
-* ``parity`` -- run the bare workload on the heap, wheel and compiled
-  kernels and require identical run fingerprints (cycles, throughput,
-  per-segment counter-plane totals).
+* ``parity`` -- run the bare workload on the heap and compiled kernels
+  and require identical run fingerprints (cycles, throughput,
+  per-segment bus counts).
 
 Every check is exception-safe: a raised :class:`BusTimeoutError` (or any
 other error) becomes a deterministic ``exception:`` finding rather than a
@@ -55,8 +55,8 @@ ORACLE_VERSION = 2
 
 ORACLE_CHECKS = ("structural", "protocol", "resilience", "parity")
 
-#: All registered scheduler backends, in registry order (heap, wheel,
-#: compiled) -- the parity check runs the bare workload on each.
+#: All registered scheduler backends, in registry order (heap, compiled)
+#: -- the parity check runs the bare workload on each.
 PARITY_BACKENDS = tuple(KERNEL_BACKENDS)
 
 #: Architectures whose netlist <-> machine structural comparison is a
@@ -85,11 +85,11 @@ def run_fingerprint(config: DseConfig, machine, metric: Dict[str, Any]) -> str:
     """Deterministic fingerprint of one finished run.
 
     Hashes the simulated-cycle count, the workload metric, per-PE finish
-    cycles and the counter-plane totals -- everything the backend-parity
-    suite guarantees bit-identical across heap/wheel/compiled, and nothing
-    wall-clock.
+    cycles and the per-segment bus counts
+    (:meth:`~repro.sim.fabric.Machine.bus_snapshot`) -- everything the
+    backend-parity suite guarantees bit-identical across heap/compiled,
+    and nothing wall-clock.
     """
-    plane = machine.counters
     return content_hash(
         {
             "cycles": metric["cycles"],
@@ -99,7 +99,7 @@ def run_fingerprint(config: DseConfig, machine, metric: Dict[str, Any]) -> str:
             "pe_finish": {
                 name: pe.finished_at for name, pe in sorted(machine.pes.items())
             },
-            "counters": plane.totals() if plane is not None else None,
+            "bus": machine.bus_snapshot(),
         }
     )
 
@@ -142,8 +142,8 @@ def _check_protocol(
     spec = build_config_spec(config)
     if baseline_cycles is None:
         # Normally the parity check's run for this kernel is the baseline
-        # (monitors are free-when-off, counters never change cycles); only
-        # a parity-stage error forces a dedicated bare run here.
+        # (monitors are free-when-off); only a parity-stage error forces a
+        # dedicated bare run here.
         bare = build_machine(spec, kernel=kernel)
         baseline_cycles = simulate_config(config, bare)["cycles"]
 
@@ -190,7 +190,6 @@ def _check_parity(config: DseConfig) -> Dict[str, Any]:
     for backend in PARITY_BACKENDS:
         try:
             machine = build_machine(build_config_spec(config), kernel=backend)
-            machine.attach_counters()
             metric = simulate_config(config, machine)
             fingerprints[backend] = run_fingerprint(config, machine, metric)
             cycles[backend] = metric["cycles"]

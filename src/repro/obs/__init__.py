@@ -23,7 +23,6 @@ same hooks to record spans and histogram samples.
 
 from __future__ import annotations
 
-from .counters import COUNTER_KINDS, CounterPlane
 from .metrics import (
     DEFAULT_CYCLE_BUCKETS,
     Counter,
@@ -50,8 +49,6 @@ from .tracer import (
 
 __all__ = [
     "Observability",
-    "CounterPlane",
-    "COUNTER_KINDS",
     "Tracer",
     "NULL_TRACER",
     "chrome_trace_events",

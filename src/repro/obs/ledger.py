@@ -71,11 +71,8 @@ TIMING_KEYS = frozenset(
         "sequential_all",
         "parallel_all",
         "speedup",
-        "overhead_fraction",
         "events_per_sec",
         "measured_events_per_sec",
-        "seconds_on",
-        "seconds_off",
         # Whole bench sections of wall-clock ratios (see bench/harness.py).
         "vs_seed",
         "ab",

@@ -14,8 +14,7 @@ Three capabilities over :mod:`repro.obs.ledger` records:
   ``ok``, fuzz records must have a stable corpus replay and no untriaged
   findings, bench throughput measurements must clear the per-backend
   ``ci_floor`` entries of ``benchmarks/baselines.json`` (with the file's
-  ``ci_regression_tolerance`` margin), and counter overhead must stay
-  within ``gates.counters_overhead_max``.  :func:`check_regressions`
+  ``ci_regression_tolerance`` margin).  :func:`check_regressions`
   returns machine-readable findings; the CLI exits non-zero when any
   exist.
 """
@@ -248,14 +247,11 @@ def check_regressions(
     must have no harness failures, full-size ``int_yield`` throughput
     (a wall-clock number, read back from the envelope's measurements)
     must clear the per-backend ``ci_floor`` less
-    ``ci_regression_tolerance``, counter runs must stay bit-identical,
-    and non-smoke counter overhead must stay within
-    ``gates.counters_overhead_max``.
+    ``ci_regression_tolerance``, and the DSE sweep gates must hold.
     """
     gates = baselines.get("gates", {})
     tolerance = float(gates.get("ci_regression_tolerance", 0.2))
     floors = baselines.get("ci_floor", {})
-    overhead_max = gates.get("counters_overhead_max")
     findings: List[Dict[str, Any]] = []
 
     def flag(record, field, message, value=None, threshold=None):
@@ -288,9 +284,7 @@ def check_regressions(
         if verb == "fuzz":
             _check_fuzz(record, summary, flag)
         if verb == "bench":
-            _check_bench(
-                record, summary, floors, tolerance, overhead_max, flag, gates
-            )
+            _check_bench(record, summary, floors, tolerance, flag, gates)
     return findings
 
 
@@ -333,7 +327,7 @@ def _check_fuzz(record, summary, flag):
         )
 
 
-def _check_bench(record, summary, floors, tolerance, overhead_max, flag, gates=None):
+def _check_bench(record, summary, floors, tolerance, flag, gates=None):
     measurements = record.get("envelope", {}).get("measurements", {})
     harness_failures = summary.get("failures")
     if harness_failures:
@@ -362,32 +356,6 @@ def _check_bench(record, summary, floors, tolerance, overhead_max, flag, gates=N
                 % (backend, value, threshold, floor, tolerance * 100),
                 value=value,
                 threshold=threshold,
-            )
-    counters = summary.get("counters")
-    if isinstance(counters, dict):
-        if counters.get("bit_identical") is False:
-            flag(
-                record,
-                "counters.bit_identical",
-                "counter plane changed simulated cycles on the %s backend"
-                % counters.get("kernel"),
-                value=False,
-                threshold=True,
-            )
-        overhead = measurements.get("counters.overhead_fraction")
-        if (
-            overhead_max is not None
-            and overhead is not None
-            and not summary.get("smoke", False)
-            and float(overhead) > float(overhead_max)
-        ):
-            flag(
-                record,
-                "counters.overhead_fraction",
-                "counter overhead %.3f above budget %.3f"
-                % (overhead, float(overhead_max)),
-                value=overhead,
-                threshold=overhead_max,
             )
     dse = summary.get("dse_sweep")
     if isinstance(dse, dict):

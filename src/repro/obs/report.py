@@ -171,9 +171,6 @@ def build_run_report(
     faults = getattr(machine, "_faults", None)
     if faults is not None:
         report.extras["resilience"] = faults.resilience_report().as_dict()
-    plane = getattr(machine, "_counters", None)
-    if plane is not None and plane.bound:
-        report.extras["counters"] = plane.as_dict()
     return report
 
 

@@ -62,8 +62,6 @@ class BusSegment:
         "obs",
         "faults",
         "monitor",
-        "counters",
-        "counter_base",
     )
 
     def __init__(
@@ -104,11 +102,6 @@ class BusSegment:
         # Protocol assertion monitor (repro.verify.monitors); None keeps
         # occupy() hook-free.  Set by repro.verify.attach_monitors.
         self.monitor = None
-        # Counter plane (repro.obs.counters.CounterPlane): a shared flat
-        # slot list plus this segment's base index.  None keeps every
-        # tenure on the increment-free path; bound by CounterPlane.bind.
-        self.counters = None
-        self.counter_base = 0
 
     @property
     def words_per_beat(self) -> int:
@@ -164,12 +157,6 @@ class BusSegment:
             memory=extra_cycles,
         )
         self.stats.record(master, words, write, timing)
-        cslots = self.counters
-        if cslots is not None:
-            base = self.counter_base
-            cslots[base] += 1
-            cslots[base + 1] += 1
-            cslots[base + 2] += timing.arbitration
         obs = self.obs
         if obs is not None:
             # Span boundaries mirror the stats: arbitration runs to the

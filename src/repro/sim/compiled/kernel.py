@@ -1,10 +1,9 @@
-"""Gen-3 scheduler backend: a run loop generated with ``compile()``/``exec``.
+"""Compiled scheduler backend: a run loop generated with ``compile()``/``exec``.
 
-:class:`CompiledSimulator` keeps the timing-wheel data structures of
-:class:`~repro.sim.kernel.WheelSimulator` but replaces the interpreted drain
-loop with *generated* run-loop variants, and replaces the pooled-timeout
-proxy machinery with **direct entries** for the dominant ``yield <int>``
-traffic:
+:class:`CompiledSimulator` drives the timing-wheel data structures of
+:class:`~repro.sim.kernel.WheelSimulator` with *generated* run-loop
+variants, and replaces the pooled-timeout proxy machinery with **direct
+entries** for the dominant ``yield <int>`` traffic:
 
 * a process waiting an in-horizon delay sits in its wheel bucket as a
   1-tuple ``(process,)`` (see ``Process._resume``'s ``_use_direct`` branch);
@@ -13,7 +12,7 @@ traffic:
 * the 1-tuple doubles as the staleness token: any generic wakeup
   (interrupt, event, finish) rewrites ``process._target``, so a drained
   entry whose identity no longer matches is skipped -- counting as one
-  processed event, exactly like a stale pooled proxy on the wheel backend;
+  processed event, exactly like a stale pooled proxy;
 * consecutive delay-1 reschedules (bus beats, the dominant cadence) are
   batched into a pending list flushed into the next bucket with one
   ``list.extend`` -- the flush happens before any slow-path call that could
@@ -23,10 +22,10 @@ traffic:
   correctness never depends on interning).
 
 Everything else -- overflow heap, bootstrap/interrupt wakeups, ``Timeout``
-and composite events -- goes through the same pooled-proxy paths as the
-wheel backend, so firing order, final clock and ``events_processed`` are
-bit-identical across all three backends (``tests/test_scheduler_parity.py``
-runs the three-way differential).
+and composite events -- goes through pooled proxies scheduled by
+:class:`~repro.sim.kernel.WheelSimulator`, so firing order, final clock and
+``events_processed`` are bit-identical to the heap backend
+(``tests/test_scheduler_parity.py`` runs the differential).
 
 Run-loop **variants** are specialized over (stop-event present, deadline
 present, monitored): a run with hooks off executes a loop with *no* hook
@@ -269,9 +268,9 @@ def _render_monitored(name: str) -> str:
     """Render the monitored variant: peak-pending-depth tracking per fire.
 
     Depth is read before each fire as ``wheel_count - fired + overflow``
-    (overflow fires read ``wheel_count + overflow``), matching the wheel
-    backend's monitored loop exactly, so the reported peak queue depth is
-    identical across backends.  Bookkeeping is per-event (no delay-1
+    (overflow fires read ``wheel_count + overflow``): the about-to-fire
+    event still counts, matching the heap backend's convention of reading
+    ``len(queue)`` before the pop.  Bookkeeping is per-event (no delay-1
     batching) so the live ``_wheel_count`` stays truthful mid-drain.
     """
     return '''\
@@ -415,7 +414,7 @@ def _resume_slow(sim: "CompiledSimulator", process, nxt) -> None:
 
     Replicates the tail of ``Process._resume`` for yields the drain loop
     does not inline: overflow-horizon ints (pooled proxy on the overflow
-    heap, exactly like the wheel backend), bool/int subclasses (general
+    heap), bool/int subclasses (general
     ``Timeout``), events, and the error cases.
     """
     process._target = None
@@ -497,15 +496,15 @@ def _compile_variant(variant: str):
 class CompiledSimulator(WheelSimulator):
     """Timing-wheel backend with a generated run loop and direct entries.
 
-    Same data structures, deadline/stop-event/limit contract and event
-    accounting as :class:`~repro.sim.kernel.WheelSimulator`; see the module
+    The wheel data structures of :class:`~repro.sim.kernel.WheelSimulator`,
+    with the deadline/stop-event/limit contract and event accounting of
+    :meth:`Simulator.run <repro.sim.kernel.Simulator.run>`; see the module
     docstring for what is generated and why firing order is preserved.
     """
 
     __slots__ = ()
 
     kernel_name = "compiled"
-    _use_wheel = True
     _use_direct = True
 
     # -- event loop -----------------------------------------------------

@@ -27,12 +27,6 @@ Specialization requires every observability, fault-injection and protocol
 restores the generic path.  The free-when-off contract thus becomes
 *absent*-when-off: a hooked run contains no specialized call sites at all.
 
-The one exception is the counter plane (:mod:`repro.obs.counters`): a bound
-plane does *not* despecialize.  Template lines prefixed ``?C`` are kept
-(with the prefix replaced by two spaces, preserving indentation) when the
-machine has a plane and dropped otherwise, so a counted run bakes plain
-``cslots[<literal>] += n`` increments into the same specialized dispatch.
-
 The rendered per-machine source is kept on ``machine._specialized_source``
 for inspection (``repro compile -o``).
 """
@@ -108,7 +102,7 @@ baked in as literals.  Regenerate with ``repro compile -o``.
 '''
 
 _MEM_TXN_TEMPLATE = '''
-def _make_{fn}(sim, arbiter, stats, request, access_latency, touch_read, touch_write, cslots):
+def _make_{fn}(sim, arbiter, stats, request, access_latency, touch_read, touch_write):
     # {master} -> {device} over {segment}: FCFS inlined, {timing}
     def {fn}(address, words, write, data=None):
         latency = access_latency(address, words, write)
@@ -147,9 +141,6 @@ def _make_{fn}(sim, arbiter, stats, request, access_latency, touch_read, touch_w
                 stats.memory_cycles += latency
                 per_master = stats.per_master
                 per_master[{master!r}] = per_master.get({master!r}, 0) + 1
-?C              cslots[{c_txn}] += 1
-?C              cslots[{c_grant}] += 1
-?C              cslots[{c_wait}] += acquired - entry
         if write:
             touch_write(address, data if data is not None else [0] * words)
             return None
@@ -158,7 +149,7 @@ def _make_{fn}(sim, arbiter, stats, request, access_latency, touch_read, touch_w
 '''
 
 _HSREGS_TXN_TEMPLATE = '''
-def _make_{fn}(sim, arbiter, stats, request, reg_read, reg_write, cslots):
+def _make_{fn}(sim, arbiter, stats, request, reg_read, reg_write):
     # {master} -> {device} over {segment}: FCFS inlined, {timing}
     def {fn}(address, words, write, data=None):
         entry = sim.now
@@ -194,9 +185,6 @@ def _make_{fn}(sim, arbiter, stats, request, reg_read, reg_write, cslots):
                 stats.arbitration_cycles += acquired - entry
                 per_master = stats.per_master
                 per_master[{master!r}] = per_master.get({master!r}, 0) + 1
-?C              cslots[{c_txn}] += 1
-?C              cslots[{c_grant}] += 1
-?C              cslots[{c_wait}] += acquired - entry
         register = "DONE_OP" if address == 0 else "DONE_RV"
         if write:
             reg_write(register, (data or [0])[0])
@@ -206,7 +194,7 @@ def _make_{fn}(sim, arbiter, stats, request, reg_read, reg_write, cslots):
 '''
 
 _MISS_TEMPLATE = '''
-def _make_{fn}(sim, arbiter, stats, request, access_latency, target, cslots):
+def _make_{fn}(sim, arbiter, stats, request, access_latency, target):
     # {master} -> {device} cache-miss bursts over {segment}
     def {fn}(misses, line_words, write):
         per_line = access_latency(0, line_words, write)
@@ -251,9 +239,6 @@ def _make_{fn}(sim, arbiter, stats, request, access_latency, target, cslots):
                     stats.memory_cycles += memory_cycles
                     per_master = stats.per_master
                     per_master[{master!r}] = per_master.get({master!r}, 0) + 1
-?C                  cslots[{c_txn}] += 1
-?C                  cslots[{c_grant}] += 1
-?C                  cslots[{c_wait}] += acquired - entry
             if write:
                 target.writes += words
             else:
@@ -266,22 +251,6 @@ def _sanitize(name: str) -> str:
     return "".join(ch if ch.isalnum() else "_" for ch in name)
 
 
-def _render(template: str, counters_on: bool, **fields) -> str:
-    """Render a template; ``?C``-prefixed lines survive only with counters.
-
-    The two-character prefix is replaced by two spaces so the kept line
-    lands at the indentation the template wrote it for.
-    """
-    lines = []
-    for line in template.split("\n"):
-        if line.startswith("?C"):
-            if not counters_on:
-                continue
-            line = "  " + line[2:]
-        lines.append(line)
-    return "\n".join(lines).format(**fields)
-
-
 def specialized_fabric_source(machine) -> Tuple[str, list]:
     """Render the per-machine specialization module.
 
@@ -292,8 +261,6 @@ def specialized_fabric_source(machine) -> Tuple[str, list]:
     chunks = [_HEADER.format(machine_name=machine.name)]
     entries = []
     used = set()
-    plane = getattr(machine, "_counters", None)
-    counters_on = plane is not None
     for pe, device, segment in eligible_pairs(machine):
         base = "_txn_%s__%s" % (_sanitize(pe.name), _sanitize(device.name))
         fn = base
@@ -321,24 +288,16 @@ def specialized_fabric_source(machine) -> Tuple[str, list]:
                 segment.beat_cycles,
             ),
         )
-        if counters_on:
-            # Baked literal slot indices: transactions, grants, wait_cycles.
-            base = plane.base_of(segment.name)
-            fields.update(c_txn=base, c_grant=base + 1, c_wait=base + 2)
         if device.kind == "memory":
-            chunks.append(_render(_MEM_TXN_TEMPLATE, counters_on, **fields))
+            chunks.append(_MEM_TXN_TEMPLATE.format(**fields))
             entries.append((fn, "memory", pe, device, segment))
             miss_fn = fn.replace("_txn_", "_miss_", 1)
             chunks.append(
-                _render(
-                    _MISS_TEMPLATE,
-                    counters_on,
-                    **dict(fields, fn=miss_fn, miss_group=MISS_GROUP)
-                )
+                _MISS_TEMPLATE.format(**dict(fields, fn=miss_fn, miss_group=MISS_GROUP))
             )
             entries.append((miss_fn, "miss", pe, device, segment))
         else:
-            chunks.append(_render(_HSREGS_TXN_TEMPLATE, counters_on, **fields))
+            chunks.append(_HSREGS_TXN_TEMPLATE.format(**fields))
             entries.append((fn, "hsregs", pe, device, segment))
     return "".join(chunks), entries
 
@@ -370,8 +329,6 @@ def specialize_machine(machine) -> bool:
     exec(code, namespace)
 
     sim = machine.sim
-    plane = getattr(machine, "_counters", None)
-    cslots = plane.slots if plane is not None else None
     txn_table: Dict[Tuple[str, str], Callable] = {}
     miss_table: Dict[Tuple[str, str], Callable] = {}
     for fn_name, kind, pe, device, segment in entries:
@@ -386,7 +343,6 @@ def specialize_machine(machine) -> bool:
                 device.target.access_latency,
                 device.target.read,
                 device.target.write,
-                cslots,
             )
         elif kind == "miss":
             miss_table[(pe.name, device.name)] = factory(
@@ -396,7 +352,6 @@ def specialize_machine(machine) -> bool:
                 arbiter.request,
                 device.target.access_latency,
                 device.target,
-                cslots,
             )
         else:  # hsregs
             txn_table[(pe.name, device.name)] = factory(
@@ -406,7 +361,6 @@ def specialize_machine(machine) -> bool:
                 arbiter.request,
                 device.target.read,
                 device.target.write,
-                cslots,
             )
 
     # Bind the generic paths *before* shadowing them with instance attrs.

@@ -140,10 +140,6 @@ class Machine:
         # Protocol assertion monitor (repro.verify.monitors); None keeps
         # _occupy_path hook-free.  Set by repro.verify.attach_monitors.
         self._monitor = None
-        # Counter plane (repro.obs.counters.CounterPlane); unlike the three
-        # hooks above it does NOT force despecialization -- the compiled
-        # backend bakes the slot increments into its generated dispatch.
-        self._counters = None
         # Compiled-backend fabric specialization (repro.sim.compiled): when
         # set, ``transaction``/``miss_traffic`` are shadowed by generated
         # per-(master, device) dispatch installed as instance attributes.
@@ -200,36 +196,16 @@ class Machine:
 
         return attach_monitors(self, fail_fast=fail_fast)
 
-    @property
-    def counters(self):
-        return self._counters
+    def bus_snapshot(self) -> Dict[str, Dict[str, int]]:
+        """Per-segment ``BusStats.as_dict()`` plus the arbiter's ``grants``.
 
-    def attach_counters(self, plane=None):
-        """Bind a :class:`repro.obs.counters.CounterPlane` to every segment.
-
-        Counters are the one observability surface that keeps the compiled
-        backend's specialized fast path: on an already-specialized machine
-        the baked dispatch is *rebuilt* with the slot increments compiled
-        in (never despecialized -- the regenerated functions still carry
-        the baked route/policy/timing).  On the generic paths each tenure
-        pays one ``None`` check, exactly like the ``obs`` hook.  Returns
-        the bound plane.
+        Name-sorted and JSON-able: the bus-count surface that chaos, verify
+        and the fuzz parity oracle compare across scheduler backends.
         """
-        from ..obs.counters import CounterPlane
-
-        if plane is None:
-            plane = CounterPlane()
-        self._counters = plane
-        plane.bind(self)
-        if self._specialized:
-            self.__dict__.pop("transaction", None)
-            self.__dict__.pop("miss_traffic", None)
-            self._specialized = False
-            self._specialized_source = None
-            from .compiled.specializer import specialize_machine
-
-            specialize_machine(self)
-        return plane
+        return {
+            name: dict(segment.stats.as_dict(), grants=segment.arbiter.grants)
+            for name, segment in sorted(self.segments.items())
+        }
 
     def _despecialize(self) -> None:
         """Remove compiled-backend specialized dispatch, if installed.
@@ -497,12 +473,6 @@ class Machine:
                     stats.memory_cycles += memory_cycles
                     per_master = stats.per_master
                     per_master[master] = per_master.get(master, 0) + 1
-                    cslots = segment.counters
-                    if cslots is not None:
-                        base = segment.counter_base
-                        cslots[base] += 1
-                        cslots[base + 1] += 1
-                        cslots[base + 2] += acquired - entry
                     obs = self._obs
                     if obs is not None:
                         obs.bus_transaction(
@@ -563,12 +533,6 @@ class Machine:
                     memory=memory_cycles,
                 )
                 segment.stats.record(master, words, write, timing)
-                cslots = segment.counters
-                if cslots is not None:
-                    base = segment.counter_base
-                    cslots[base] += 1
-                    cslots[base + 1] += 1
-                    cslots[base + 2] += acquired_at[index] - entry
                 if obs is not None:
                     obs.bus_transaction(
                         segment, master, entry, acquired_at[index], end,
@@ -839,8 +803,6 @@ class MachineBuilder:
         self._monitor_fail_fast = True
         self._fault_plan = None
         self._fault_policy = None
-        self._counters = None
-        self._want_counters = False
         self._specialize = True
 
     # -- simulator selection ------------------------------------------------
@@ -850,7 +812,7 @@ class MachineBuilder:
         return self
 
     def with_kernel(self, kernel: Optional[str]) -> "MachineBuilder":
-        """Pick the scheduler backend (``heap``/``wheel``/``compiled``)."""
+        """Pick the scheduler backend (``heap``/``compiled``)."""
         self._kernel = kernel
         return self
 
@@ -887,17 +849,6 @@ class MachineBuilder:
         self._fault_policy = policy
         return self
 
-    def with_counters(self, plane=None) -> "MachineBuilder":
-        """Bind a counter plane (:class:`repro.obs.counters.CounterPlane`).
-
-        Unlike the hooks above, counters never cost the compiled backend
-        its specialization: they attach *before* specialization runs, so
-        the baked dispatch compiles the slot increments in.
-        """
-        self._counters = plane
-        self._want_counters = True
-        return self
-
     def without_specialization(self) -> "MachineBuilder":
         """Keep the generic fabric paths even on the compiled backend."""
         self._specialize = False
@@ -918,10 +869,6 @@ class MachineBuilder:
             from ..faults.injector import install_faults
 
             install_faults(machine, self._fault_plan, self._fault_policy)
-        if self._want_counters:
-            # Before specialization on purpose: specialize_machine sees the
-            # bound plane and bakes the increments into the fast path.
-            machine.attach_counters(self._counters)
         if self._specialize and sim.kernel_name == "compiled":
             from .compiled.specializer import specialize_machine
 
@@ -947,7 +894,7 @@ def build_machine(
     arbitration-policy ablation); ``trace_hsregs`` turns on value-change
     traces in all handshake register blocks (used to reproduce the state
     diagrams of Figures 11-13); ``kernel`` picks the scheduler backend
-    (``"heap"``/``"wheel"``/``"compiled"``, default
+    (``"heap"``/``"compiled"``, default
     :func:`repro.sim.kernel.default_kernel`) when no ``sim`` is supplied.
     """
     builder = MachineBuilder(spec)

@@ -11,13 +11,13 @@ For every architecture under test this runs, per scheduler backend:
    and (b) cycle-identical results, proving the monitors observe without
    perturbing (the free-when-off contract);
 
-then asserts backend parity on cycle counts and on the per-segment
-counter-plane totals carried by every case row (the bare run is counted
-via :class:`~repro.obs.counters.CounterPlane`, which must also agree
-with ``BusStats`` and the arbiters' grant counts in these fault-free
-sweeps).  Cases fan out over the
-parallel experiment runner, so ``repro verify --jobs N`` sweeps
-architectures concurrently with deterministic results.
+then asserts backend parity on cycle counts and on the per-segment bus
+counts carried by every case row (the bare run's
+:meth:`~repro.sim.fabric.Machine.bus_snapshot`: ``BusStats`` plus arbiter
+grants; in these fault-free sweeps every retired tenure must also be
+exactly one arbiter grant).  Cases fan out over the parallel experiment
+runner, so ``repro verify --jobs N`` sweeps architectures concurrently
+with deterministic results.
 
 CCBA is deliberately excluded: its machine abstraction flattens every
 BAN's memory onto one processor local bus while the generated netlist
@@ -93,18 +93,15 @@ def run_verify_case(
     ]
 
     bare_machine = build_machine(spec, kernel=backend)
-    plane = bare_machine.attach_counters()
     baseline = run_ofdm(bare_machine, style, OfdmParameters(packets=packets))
-    counter_findings = plane.check_against_stats(bare_machine)
+    bus = bare_machine.bus_snapshot()
     # Fault-free sweep: every retired tenure is exactly one arbiter grant.
-    for name in plane.segment_order:
-        granted = bare_machine.segments[name].arbiter.grants
-        counted = plane.value(name, "grants")
-        if counted != granted:
-            counter_findings.append(
-                "%s: counter grants %d != arbiter grants %d"
-                % (name, counted, granted)
-            )
+    tenure_findings = [
+        "%s: %d retired tenures != %d arbiter grants"
+        % (name, counts["transactions"], counts["grants"])
+        for name, counts in bus.items()
+        if counts["transactions"] != counts["grants"]
+    ]
 
     monitored_machine = build_machine(spec, kernel=backend)
     monitor = monitored_machine.attach_monitors(fail_fast=False)
@@ -125,15 +122,15 @@ def run_verify_case(
         "throughput_mbps": baseline.throughput_mbps,
         "grants": monitor.grants_observed,
         "transfers": monitor.transfers_opened,
-        "counters": plane.totals(),
+        "bus": bus,
         "structural_findings": structural,
-        "runtime_findings": runtime + counter_findings,
+        "runtime_findings": runtime + tenure_findings,
     }
 
 
 def run_verify(
     archs: Optional[Sequence[str]] = None,
-    backends: Sequence[str] = ("heap", "wheel"),
+    backends: Sequence[str] = ("heap", "compiled"),
     packets: int = 2,
     pe_count: int = 4,
     jobs: int = 1,
@@ -189,9 +186,9 @@ def run_verify(
                         other["cycles"],
                     )
                 )
-            if other["counters"] != reference["counters"]:
+            if other["bus"] != reference["bus"]:
                 failures.append(
-                    "%s: counter totals diverge between %s and %s"
+                    "%s: bus counts diverge between %s and %s"
                     % (arch, backends[0], backend)
                 )
     return {
@@ -225,7 +222,7 @@ def format_verify_summary(summary: Dict[str, Any]) -> List[str]:
             else "FAIL"
         )
         lines.append(
-            "  %-8s %-4s %-5s  %8d cycles  %6d grants  %6d transfers  "
+            "  %-8s %-4s %-8s  %8d cycles  %6d grants  %6d transfers  "
             "structural %d  runtime %d  %s"
             % (
                 row["arch"],

@@ -1,29 +1,26 @@
-"""Counter plane: zero-despecialization counters for the fabric hot path.
+"""Per-segment bus counts: ``BusStats`` plus arbiter grants.
 
-Pins the contracts documented in ``repro.obs.counters``:
+Pins the contracts behind :meth:`repro.sim.fabric.Machine.bus_snapshot`,
+the one bus-count surface that chaos, verify and the fuzz parity oracle
+compare across scheduler backends:
 
-* attaching a :class:`CounterPlane` never changes a run's cycle count, on
-  any backend -- and on the compiled backend never despecializes;
-* per-segment totals agree with :class:`BusStats` (transactions,
-  arbitration-wait cycles) and, fault-free, with the arbiters' grant
-  counts, identically on heap, wheel and compiled;
-* the plane survives the hook life cycle: attach to a live specialized
-  machine, keep accumulating across a later despecialization;
-* the specializer's ``?C`` template lines are rendered only when a plane
-  is bound, with the slot indices baked as literals.
+* each segment's snapshot is its ``BusStats.as_dict()`` plus the arbiter's
+  grant count, and -- fault-free -- every retired tenure is exactly one
+  arbiter grant, on the heap backend and on the compiled backend's
+  specialized fast path alike;
+* the snapshot is identical three ways: heap, compiled with the
+  specialized fabric dispatch, and compiled on the generic paths;
+* counting needs no hook, so the compiled backend stays specialized, and
+  the counts keep accumulating when a later hook despecializes it.
 """
-
-import re
 
 import pytest
 
 from repro.apps.ofdm import OfdmParameters, run_ofdm
-from repro.obs import COUNTER_KINDS, CounterPlane, Observability
+from repro.obs import Observability
 from repro.options import presets
-from repro.sim.compiled.specializer import specialized_fabric_source
 from repro.sim.fabric import MachineBuilder, build_machine
-
-KERNEL_BACKENDS = ("heap", "wheel", "compiled")
+from repro.sim.kernel import KERNEL_BACKENDS
 
 # (preset, style): BFBA/GBAVI have no shared memory, so FPA is undefined
 # for them -- same mapping as Table II.
@@ -38,140 +35,70 @@ PRESET_STYLES = [
 ]
 
 
-def counted_run(arch, style, backend, packets=2, pes=4):
-    machine = (
-        MachineBuilder(presets.preset(arch, pes))
-        .with_kernel(backend)
-        .with_counters()
-        .build()
-    )
+def counted_run(arch, style, backend, packets=2, pes=4, specialize=True):
+    builder = MachineBuilder(presets.preset(arch, pes)).with_kernel(backend)
+    if not specialize:
+        builder.without_specialization()
+    machine = builder.build()
     result = run_ofdm(machine, style, OfdmParameters(packets=packets))
-    return machine, machine.counters, result
+    return machine, result
 
 
-class TestCounterPlane:
-    def test_unbound_plane_is_empty(self):
-        plane = CounterPlane()
-        assert not plane.bound
-        assert plane.slots == []
-        assert plane.totals() == {}
-
-    def test_bind_allocates_three_slots_per_segment(self):
-        machine = build_machine(presets.preset("GBAVIII", 4))
-        plane = machine.attach_counters()
-        assert plane.bound
-        assert len(plane.slots) == len(COUNTER_KINDS) * len(machine.segments)
-        assert plane.segment_order == sorted(machine.segments)
-        for name, segment in machine.segments.items():
-            assert segment.counters is plane.slots
-            assert segment.counter_base == plane.base_of(name)
-
-    def test_rebind_same_machine_is_noop(self):
-        machine = build_machine(presets.preset("GBAVIII", 4))
-        plane = machine.attach_counters()
-        slots = plane.slots
-        plane.bind(machine)
-        assert plane.slots is slots
-
-    def test_rebind_other_machine_rejected(self):
-        plane = CounterPlane()
-        plane.bind(build_machine(presets.preset("GBAVIII", 4)))
-        with pytest.raises(ValueError, match="already bound"):
-            plane.bind(build_machine(presets.preset("HYBRID", 4)))
-
-    def test_as_dict_shape(self):
-        machine, plane, _result = counted_run("GBAVIII", "FPA", "heap")
-        snapshot = plane.as_dict()
-        assert snapshot["kinds"] == list(COUNTER_KINDS)
-        assert sorted(snapshot["segments"]) == plane.segment_order
-        for kinds in snapshot["segments"].values():
-            assert all(value >= 0 for value in kinds.values())
+def assert_tenure_per_grant(machine):
+    for name, counts in machine.bus_snapshot().items():
+        assert counts["transactions"] == counts["grants"], name
 
 
 class TestCountersMatchStats:
     @pytest.mark.parametrize("arch,style", PRESET_STYLES)
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_totals_match_busstats_and_arbiter(self, arch, style, backend):
-        machine, plane, _result = counted_run(arch, style, backend)
-        assert plane.check_against_stats(machine) == []
-        for name in plane.segment_order:
+        machine, _result = counted_run(arch, style, backend)
+        snapshot = machine.bus_snapshot()
+        assert list(snapshot) == sorted(machine.segments)
+        for name, counts in snapshot.items():
             segment = machine.segments[name]
-            assert plane.value(name, "transactions") == segment.stats.transactions
-            assert plane.value(name, "wait_cycles") == segment.stats.arbitration_cycles
-            # Fault-free: one retired tenure per arbiter grant.
-            assert plane.value(name, "grants") == segment.arbiter.grants
-        assert any(
-            plane.value(name, "transactions") > 0 for name in plane.segment_order
-        )
+            assert counts == dict(
+                segment.stats.as_dict(), grants=segment.arbiter.grants
+            )
+        # Fault-free: one retired tenure per arbiter grant.
+        assert_tenure_per_grant(machine)
+        assert any(counts["transactions"] > 0 for counts in snapshot.values())
 
     @pytest.mark.parametrize("arch,style", PRESET_STYLES)
     def test_three_way_backend_parity(self, arch, style):
-        reference = None
-        for backend in KERNEL_BACKENDS:
-            _machine, plane, result = counted_run(arch, style, backend)
-            snapshot = (result.cycles, plane.totals())
-            if reference is None:
-                reference = snapshot
-            else:
-                assert snapshot == reference, backend
+        runs = [
+            counted_run(arch, style, "heap"),
+            counted_run(arch, style, "compiled"),
+            counted_run(arch, style, "compiled", specialize=False),
+        ]
+        reference = (runs[0][1].cycles, runs[0][0].bus_snapshot())
+        for machine, result in runs[1:]:
+            assert (result.cycles, machine.bus_snapshot()) == reference
 
 
 class TestZeroDespecialization:
     def test_compiled_stays_specialized_with_counters(self):
-        machine, _plane, _result = counted_run("GBAVIII", "FPA", "compiled")
+        machine, _result = counted_run("GBAVIII", "FPA", "compiled")
         assert machine._specialized
-
-    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_counters_do_not_change_cycles(self, backend):
-        bare = build_machine(presets.preset("GBAVIII", 4), kernel=backend)
-        plain = run_ofdm(bare, "FPA", OfdmParameters(packets=2))
-        _machine, _plane, counted = counted_run("GBAVIII", "FPA", backend)
-        assert counted.cycles == plain.cycles
-
-    def test_attach_to_live_specialized_machine(self):
-        machine = build_machine(presets.preset("GBAVIII", 4), kernel="compiled")
-        assert machine._specialized
-        plane = machine.attach_counters()
-        assert machine._specialized
-        run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        assert plane.check_against_stats(machine) == []
+        assert any(c["transactions"] for c in machine.bus_snapshot().values())
 
     def test_counters_survive_despecializing_hook(self):
         machine = build_machine(presets.preset("GBAVIII", 4), kernel="compiled")
-        plane = machine.attach_counters()
+        assert machine._specialized
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        first = sum(plane.slots)
-        assert first > 0
+        first = machine.bus_snapshot()
         # Observability needs the generic instrumented paths, so this
-        # despecializes -- the plane must keep accumulating regardless.
+        # despecializes -- the same BusStats must keep accumulating.
         machine.attach_observability(Observability())
         assert not machine._specialized
         run_ofdm(machine, "FPA", OfdmParameters(packets=1))
-        assert sum(plane.slots) > first
-        assert plane.check_against_stats(machine) == []
-
-
-class TestSpecializerRendering:
-    def test_counter_lines_rendered_only_when_bound(self):
-        machine = build_machine(presets.preset("GBAVIII", 4), kernel="compiled")
-        bare, _pairs = specialized_fabric_source(machine)
-        assert "cslots[" not in bare
-        assert "?C" not in bare
-        plane = machine.attach_counters()
-        counted, pairs = specialized_fabric_source(machine)
-        assert "?C" not in counted
-        assert "cslots[" in counted
-        # Slot indices are baked literals: each specialized pair's segment
-        # gets its own transaction/grant/wait triple.
-        rendered = {
-            int(index)
-            for index in re.findall(r"cslots\[(\d+)\]", counted)
-        }
-        segment_bases = {plane.base_of(name) for name in plane.segment_order}
-        assert rendered
-        assert all(index < len(plane.slots) for index in rendered)
-        bases_rendered = {index - index % len(COUNTER_KINDS) for index in rendered}
-        assert bases_rendered <= segment_bases
-        for base in bases_rendered:
-            assert "cslots[%d] += 1" % base in counted
-            assert "cslots[%d] += 1" % (base + 1) in counted
+        second = machine.bus_snapshot()
+        assert sum(c["transactions"] for c in second.values()) > sum(
+            c["transactions"] for c in first.values()
+        )
+        assert all(
+            second[name]["transactions"] >= counts["transactions"]
+            for name, counts in first.items()
+        )
+        assert_tenure_per_grant(machine)

@@ -22,7 +22,9 @@ import pytest
 from repro.core.busyn import BusSyn
 from repro.dse.cache import ARTIFACT_VERSION, ArtifactCache
 from repro.dse.engine import (
+    DEFAULT_DSE_KERNEL,
     busyn_store_probe,
+    resolve_kernel,
     run_sweep,
     shard_of,
     sweep_fingerprint,
@@ -271,9 +273,25 @@ class TestSweepDeterminism:
                     tiny_spec(), jobs=1, kernel=kernel, cache_dir=str(tmp_path / kernel)
                 )
             )
-            for kernel in ("heap", "wheel", "compiled")
+            for kernel in ("heap", "compiled")
         }
         assert len(set(fingerprints.values())) == 1
+
+    def test_resolve_kernel_parses_env_like_simulate(self, monkeypatch):
+        # Same normalisation as sim.kernel.default_kernel, but the DSE
+        # default stays compiled.
+        from repro.sim.kernel import SimulationError
+
+        monkeypatch.delenv("REPRO_SIM_KERNEL", raising=False)
+        assert resolve_kernel(None) == DEFAULT_DSE_KERNEL == "compiled"
+        monkeypatch.setenv("REPRO_SIM_KERNEL", " Compiled ")
+        assert resolve_kernel(None) == "compiled"
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "HEAP")
+        assert resolve_kernel(None) == "heap"
+        assert resolve_kernel("compiled") == "compiled"
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "wheel")
+        with pytest.raises(SimulationError, match="REPRO_SIM_KERNEL"):
+            resolve_kernel(None)
 
     def test_kernel_stays_out_of_config_identity(self, tmp_path):
         # Artifacts cached by a heap sweep satisfy a compiled sweep: the

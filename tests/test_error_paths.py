@@ -174,3 +174,19 @@ class TestCliExits:
         )
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
+
+    def test_unknown_kernel_env_exits_2_with_one_error_line(self, monkeypatch, capsys):
+        # A leftover REPRO_SIM_KERNEL=wheel (a retired backend) is a usage
+        # error: one stderr line naming the variable and the valid
+        # backends, exit 2 -- not a SimulationError traceback.
+        monkeypatch.setenv("REPRO_SIM_KERNEL", "wheel")
+        code = main(["simulate", "--preset", "GBAVIII", "--app", "ofdm", "--packets", "1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error:")
+        assert "$REPRO_SIM_KERNEL" in lines[0]
+        assert "heap/compiled" in lines[0]
+        assert "'wheel'" in lines[0]
+        assert captured.out == ""

@@ -237,7 +237,7 @@ class TestQuery:
 
 class TestRegressionGates:
     BASELINES = {
-        "gates": {"ci_regression_tolerance": 0.2, "counters_overhead_max": 0.15},
+        "gates": {"ci_regression_tolerance": 0.2},
         "ci_floor": {"compiled": {"int_yield_events_per_sec": 1000000.0}},
     }
 
@@ -260,7 +260,7 @@ class TestRegressionGates:
         assert findings[0]["field"] == "summary.ok"
         assert "deadlock" in findings[0]["message"]
 
-    def bench_record(self, events_per_sec, procs=64, overhead=0.01, smoke=False):
+    def bench_record(self, events_per_sec, procs=64, smoke=False):
         return _record(
             "bench",
             backend="compiled",
@@ -276,12 +276,6 @@ class TestRegressionGates:
                             "events_per_sec": events_per_sec,
                         }
                     }
-                },
-                "counters": {
-                    "kernel": "compiled",
-                    "bit_identical": True,
-                    "stayed_specialized": True,
-                    "overhead_fraction": overhead,
                 },
             },
         )
@@ -300,20 +294,6 @@ class TestRegressionGates:
     def test_smoke_scale_sample_not_gated(self):
         record = self.bench_record(events_per_sec=1.0, procs=8)
         assert check_regressions([record], self.BASELINES) == []
-
-    def test_counter_bit_identity_always_gated(self):
-        record = self.bench_record(events_per_sec=2000000.0, smoke=True)
-        record["body"]["summary"]["counters"]["bit_identical"] = False
-        record["hash"] = content_hash(record["body"])
-        findings = check_regressions([record], self.BASELINES)
-        assert [f["field"] for f in findings] == ["counters.bit_identical"]
-
-    def test_counter_overhead_gated_outside_smoke(self):
-        over = self.bench_record(events_per_sec=2000000.0, overhead=0.5)
-        findings = check_regressions([over], self.BASELINES)
-        assert [f["field"] for f in findings] == ["counters.overhead_fraction"]
-        smoky = self.bench_record(events_per_sec=2000000.0, overhead=0.5, smoke=True)
-        assert check_regressions([smoky], self.BASELINES) == []
 
 
 class TestCliRoundTrip:
@@ -342,7 +322,11 @@ class TestCliRoundTrip:
             )
             == 0
         )
-        assert main(["compile", "--preset", "GBAVIII", "--pes", "4"] + argv) == 0
+        # -o into the temporary tree: the default ./compiled would land in
+        # the working directory.
+        out = str(tmp_path_factory.mktemp("compiled"))
+        compile_argv = ["compile", "--preset", "GBAVIII", "--pes", "4", "-o", out]
+        assert main(compile_argv + argv) == 0
         assert main(["table", "5"] + argv) == 0
         assert (
             main(

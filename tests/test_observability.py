@@ -54,9 +54,9 @@ def _traced_gbaviii_run(packets=2, kernel=None):
 
 
 # The lockstep invariants must hold on every scheduler backend -- the
-# timing wheel batches bucket pops, but spans/metrics are emitted by the
-# fabric, which only observes event *order*.
-_KERNELS = ["heap", "wheel"]
+# compiled backend's timing wheel batches bucket pops, but spans/metrics
+# are emitted by the fabric, which only observes event *order*.
+_KERNELS = ["heap", "compiled"]
 
 
 class TestSpanStatsLockstep:
