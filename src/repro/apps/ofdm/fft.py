@@ -55,7 +55,10 @@ def ifft_butterflies(data: np.ndarray) -> np.ndarray:
     """In-place butterfly passes over bit-reversed input (group F).
 
     Performs the *unnormalized* inverse transform; the 1/N normalization is
-    a separate pipeline stage (group G), as in Table I.
+    a separate pipeline stage (group G), as in Table I.  Each pass runs as
+    one array operation over all of its ``n / step`` butterfly blocks (rows
+    of a ``(n / step, step)`` view), with the same per-element arithmetic
+    as a block-by-block loop.
     """
     data = np.array(data, dtype=np.complex128)
     n = len(data)
@@ -66,11 +69,11 @@ def ifft_butterflies(data: np.ndarray) -> np.ndarray:
         step = span * 2
         # Twiddles for the inverse transform: positive exponent.
         twiddles = np.exp(2j * np.pi * np.arange(span) / step)
-        for start in range(0, n, step):
-            upper = data[start : start + span].copy()
-            lower = data[start + span : start + step] * twiddles
-            data[start : start + span] = upper + lower
-            data[start + span : start + step] = upper - lower
+        blocks = data.reshape(-1, step)
+        upper = blocks[:, :span].copy()
+        lower = blocks[:, span:] * twiddles
+        blocks[:, :span] = upper + lower
+        blocks[:, span:] = upper - lower
         span = step
     return data
 

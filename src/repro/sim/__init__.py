@@ -30,7 +30,7 @@ from .cache import Cache, CacheStats, mpc755_dcache, mpc755_icache
 from .dma import DmaEngine
 from .fabric import Device, Machine, build_machine
 from .fifo import BiFifo, FifoEmptyError, FifoFullError, HardwareFifo
-from .hsregs import HandshakeRegisters, SharedVariables
+from .hsregs import HandshakeRegisters, RegisterWaiter, SharedVariables
 from .interrupt import InterruptController, InterruptLine
 from .memory import Dram, Memory, Sram, make_memory
 from .pe import DataTouch, ProcessingElement
@@ -68,6 +68,7 @@ __all__ = [
     "FifoFullError",
     "HardwareFifo",
     "HandshakeRegisters",
+    "RegisterWaiter",
     "SharedVariables",
     "InterruptController",
     "InterruptLine",

@@ -421,15 +421,7 @@ def _resume_slow(sim: "CompiledSimulator", process, nxt) -> None:
     if type(nxt) is int:
         if nxt < 0:
             raise SimulationError("negative timeout delay: %r" % (nxt,))
-        pool = sim._timeout_pool
-        if pool:
-            proxy = pool.pop()
-            proxy._value = None
-            proxy._exception = None
-            proxy._fired = False
-        else:
-            proxy = _PooledTimeout(sim)
-            proxy._triggered = True
+        proxy = sim._pooled_event()
         proxy.callbacks.append(process._resume)
         process._target = proxy
         sim._overflow_seq = seq = sim._overflow_seq + 1

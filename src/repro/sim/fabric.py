@@ -124,6 +124,9 @@ class Machine:
         self.shared_memory_of: Dict[str, str] = {}  # ban -> shared memory name
         self.fifo_blocks: Dict[str, BiFifo] = {}  # ban letter -> its block
         self.hs_blocks: Dict[str, HandshakeRegisters] = {}  # ban letter -> block
+        # Built with trace_hsregs: register value changes and the protocol
+        # step markers of repro.soc.handshake channels are recorded.
+        self.trace_hsregs = False
         self._alloc_next: Dict[str, int] = {}
         # (pe name, device name) -> (bridge-enable state, _PreparedPlan).
         # Routes only change when a bridge is toggled, so the cached plan is
@@ -920,7 +923,7 @@ class _Builder:
         self.machine = machine
         self.sim = machine.sim
         self.spec = machine.spec
-        self.trace_hsregs = trace_hsregs
+        self.trace_hsregs = machine.trace_hsregs = trace_hsregs
         self.cpi = cycles_per_instruction
         self.arbiter_policy = arbiter_policy
 

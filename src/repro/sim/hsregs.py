@@ -13,16 +13,17 @@ interrupt protocol state machines built on top live in
 
 A :class:`HandshakeRegisters` block optionally records a value-change trace,
 which the figure-reproduction benches use to check the waveforms of
-Figures 11-13.
+Figures 11-13.  Software polling waits on a register through a
+:class:`RegisterWaiter`.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from .kernel import Event, Simulator
+from .kernel import Event, SimulationError, Simulator
 
-__all__ = ["HandshakeRegisters", "SharedVariables"]
+__all__ = ["HandshakeRegisters", "RegisterWaiter", "SharedVariables"]
 
 _VALID = ("DONE_OP", "DONE_RV")
 
@@ -64,26 +65,14 @@ class HandshakeRegisters:
         self._values[register] = value
         if self.trace_enabled:
             self.trace.append((self.sim.now, register, value))
-        watchers, self._watchers[register] = self._watchers[register], []
-        for wanted, event in watchers:
-            if wanted is None or wanted == value:
-                event.succeed(value)
-            else:
-                self._watchers[register].append((wanted, event))
-
-    def wait_for(self, register: str, value: Optional[int] = None) -> Event:
-        """Event firing when ``register`` next changes (to ``value`` if given).
-
-        If the register already holds ``value`` the event fires immediately,
-        modelling level-sensitive polling hardware.
-        """
-        self._check_name(register)
-        event = self.sim.event()
-        if value is not None and self._values[register] == value:
-            event.succeed(value)
-        else:
-            self._watchers[register].append((value, event))
-        return event
+        watchers = self._watchers[register]
+        if watchers:
+            kept = self._watchers[register] = []
+            for waiter in watchers:
+                if waiter.wanted == value:
+                    waiter._changed()
+                else:
+                    kept.append(waiter)
 
     # Convenience accessors used by the protocol layer.
     @property
@@ -93,6 +82,108 @@ class HandshakeRegisters:
     @property
     def done_rv(self) -> int:
         return self._values["DONE_RV"]
+
+
+class RegisterWaiter:
+    """A reusable "register reaches ``value`` or timeout" wait.
+
+    Software polling (:meth:`repro.soc.api.SocAPI.reg_wait`) sleeps between
+    probes until the register changes or the backoff interval expires,
+    whichever comes first.  One waiter serves every poll of one PE on one
+    register: :meth:`arm` starts a wait and returns the event to yield.
+    The wake keeps the exact event order of an ``AnyOf`` over a change
+    event and a ``Timeout``:
+
+    * a matching :meth:`HandshakeRegisters.write` schedules a *hop* at the
+      write's cycle; the hop's firing is the change's arrival;
+    * the timer's firing is the timeout's arrival;
+    * the first arrival wins and schedules the arm's *token*, whose firing
+      resumes the polling process; the later arrival finds nothing to do.
+
+    The timer stays queued after a change wins (it still fires, as the
+    ``Timeout`` did), while a timeout takes the waiter off the block's
+    watcher list.  Timer, hop and token are pooled kernel proxies; the
+    token is fresh per arm, so the process's ``_target`` identity check
+    discards a wake of an arm abandoned by an interrupt.
+    """
+
+    __slots__ = (
+        "block",
+        "register",
+        "sim",
+        "wanted",
+        "_listed",
+        "_timer",
+        "_hop",
+        "_token",
+        "_on_timer",
+        "_on_hop",
+    )
+
+    def __init__(self, block: "HandshakeRegisters", register: str):
+        block._check_name(register)
+        self.block = block
+        self.register = register
+        self.sim = block.sim
+        self.wanted: Optional[int] = None
+        self._listed = False  # on block._watchers[register]
+        self._timer = None  # this arm's timer proxy
+        self._hop = None  # this arm's change hop proxy
+        self._token: Optional[Event] = None  # this arm's wake, unscheduled
+        # Bound once, not per arm.
+        self._on_timer = self._timer_fired
+        self._on_hop = self._hop_fired
+
+    @property
+    def busy(self) -> bool:
+        """An arm is outstanding (its wake has not been scheduled yet)."""
+        return self._token is not None
+
+    def arm(self, value: int, timeout: int) -> Optional[Event]:
+        """Wait for the register to hold ``value``, at most ``timeout`` cycles.
+
+        Returns the event the polling process yields, or None when the
+        register already holds ``value`` (nothing is scheduled then).  The
+        event is a pooled kernel proxy: exactly one waiter (the yielding
+        process) may wait on it, and it is recycled once it fires.
+        Raises :class:`SimulationError` while an earlier arm is outstanding.
+        """
+        if self._token is not None:
+            raise SimulationError(
+                "%s.%s: waiter re-armed before its wake" % (self.block.name, self.register)
+            )
+        block = self.block
+        if block._values[self.register] == value:
+            return None
+        self.wanted = value
+        block._watchers[self.register].append(self)
+        self._listed = True
+        sim = self.sim
+        self._hop = None
+        self._timer = sim._post_callback(self._on_timer, timeout)
+        self._token = token = sim._pooled_event()
+        return token
+
+    def _changed(self) -> None:
+        # Called by HandshakeRegisters.write, which drops us from the list.
+        self._listed = False
+        self._hop = self.sim._post_callback(self._on_hop)
+
+    def _hop_fired(self, hop: Event) -> None:
+        if hop is self._hop:
+            self._wake()
+
+    def _timer_fired(self, timer: Event) -> None:
+        if timer is self._timer:
+            if self._listed:
+                self.block._watchers[self.register].remove(self)
+                self._listed = False
+            self._wake()
+
+    def _wake(self) -> None:
+        self._timer = self._hop = None
+        token, self._token = self._token, None
+        self.sim._schedule(token)
 
 
 class SharedVariables:

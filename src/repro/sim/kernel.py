@@ -515,12 +515,13 @@ class Simulator:
         return AllOf(self, events)
 
     # -- scheduling -----------------------------------------------------
-    def _post_callback(self, callback: Callable[[Event], None], delay: int = 0) -> None:
-        """Schedule ``callback`` to run as an event ``delay`` cycles ahead.
+    def _pooled_event(self) -> _PooledTimeout:
+        """A reset proxy from the pooled-timeout free list, not yet scheduled.
 
-        Kernel-internal: serves process bootstrap and interrupt wakeups from
-        the pooled-timeout free list (the callback receives a value-less
-        triggered event, exactly like a fired ``Event`` with no payload).
+        Kernel-internal.  The proxy is already marked triggered (value-less),
+        so scheduling it with :meth:`_schedule` fires its callbacks; after it
+        fires the run loop recycles it, so the caller must drop every
+        reference to it by then.
         """
         pool = self._timeout_pool
         if pool:
@@ -531,9 +532,24 @@ class Simulator:
         else:
             proxy = _PooledTimeout(self)
             proxy._triggered = True
+        return proxy
+
+    def _post_callback(
+        self, callback: Callable[[Event], None], delay: int = 0
+    ) -> _PooledTimeout:
+        """Schedule ``callback`` to run as an event ``delay`` cycles ahead.
+
+        Kernel-internal: serves process bootstrap, interrupt wakeups and the
+        handshake-register waiters' timers and wake hops from the
+        pooled-timeout free list (the callback receives a value-less
+        triggered event, exactly like a fired ``Event`` with no payload).
+        Returns the scheduled proxy: its identity tells a callback shared by
+        several arms which one fired.
+        """
+        proxy = self._pooled_event()
         proxy.callbacks.append(callback)
-        self._seq = seq = self._seq + 1
-        heappush(self._queue, (self.now + delay, seq, proxy))
+        self._schedule(proxy, delay)
+        return proxy
 
     def _schedule(self, event: Event, delay: int = 0) -> None:
         # heappush is bound at module level (from-import), not looked up
@@ -736,19 +752,6 @@ class WheelSimulator(Simulator):
         else:
             self._overflow_seq = seq = self._overflow_seq + 1
             heappush(self._overflow, (self.now + delay, seq, event))
-
-    def _post_callback(self, callback: Callable[[Event], None], delay: int = 0) -> None:
-        pool = self._timeout_pool
-        if pool:
-            proxy = pool.pop()
-            proxy._value = None
-            proxy._exception = None
-            proxy._fired = False
-        else:
-            proxy = _PooledTimeout(self)
-            proxy._triggered = True
-        proxy.callbacks.append(callback)
-        self._schedule(proxy, delay)
 
     # -- introspection --------------------------------------------------
     def _next_cycle(self) -> Optional[int]:

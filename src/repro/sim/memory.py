@@ -19,9 +19,18 @@ Latency model:
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, List, Optional
 
 __all__ = ["Memory", "Sram", "Dram", "make_memory", "MEMORY_TYPES"]
+
+# Word storage: 1024-word pages of unsigned 32-bit machine ints, allocated
+# on first write.  Compact and untracked by the cyclic garbage collector,
+# unlike a {address: int} dict of boxed ints.
+PAGE_BITS = 10
+PAGE_WORDS = 1 << PAGE_BITS
+_PAGE_MASK = PAGE_WORDS - 1
+_WORD_TYPE = "I" if array("I").itemsize >= 4 else "L"
 
 
 class Memory:
@@ -34,7 +43,7 @@ class Memory:
             raise ValueError("memory %r must have positive size" % name)
         self.name = name
         self.size_words = size_words
-        self._words: Dict[int, int] = {}
+        self._pages: Dict[int, array] = {}  # page index -> PAGE_WORDS words
         self.reads = 0
         self.writes = 0
         # Fault injector (repro.faults); None keeps access_latency trivial.
@@ -68,8 +77,19 @@ class Memory:
     def read(self, address: int, count: int = 1) -> List[int]:
         self._check(address, count)
         self.reads += count
-        get = self._words.get
-        return [get(i, 0) for i in range(address, address + count)]
+        pages = self._pages
+        values: List[int] = []
+        end = address + count
+        while address < end:
+            offset = address & _PAGE_MASK
+            stop = min(PAGE_WORDS, offset + end - address)
+            page = pages.get(address >> PAGE_BITS)
+            if page is None:
+                values += [0] * (stop - offset)
+            else:
+                values += page[offset:stop].tolist()
+            address += stop - offset
+        return values
 
     def read_word(self, address: int) -> int:
         return self.read(address, 1)[0]
@@ -78,13 +98,23 @@ class Memory:
         values = [value & 0xFFFFFFFF for value in values]
         self._check(address, len(values))
         self.writes += len(values)
-        self._words.update(zip(range(address, address + len(values)), values))
+        pages = self._pages
+        done = 0
+        while done < len(values):
+            offset = address & _PAGE_MASK
+            count = min(PAGE_WORDS - offset, len(values) - done)
+            page = pages.get(address >> PAGE_BITS)
+            if page is None:
+                page = pages[address >> PAGE_BITS] = array(_WORD_TYPE, [0]) * PAGE_WORDS
+            page[offset : offset + count] = array(_WORD_TYPE, values[done : done + count])
+            address += count
+            done += count
 
     def write_word(self, address: int, value: int) -> None:
         self.write(address, [value])
 
     def clear(self) -> None:
-        self._words.clear()
+        self._pages.clear()
 
 
 class Sram(Memory):

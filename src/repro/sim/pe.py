@@ -166,6 +166,10 @@ class ProcessingElement:
         zero bus traffic.  Any eviction or flush (i.e. somebody else used
         the cache after all) invalidates the shortcut and the slow path
         resumes.
+
+        The cold walk applies the same condition each time it wraps the
+        footprint: once the footprint is resident, the rest of the walk is
+        credited as hits in bulk instead of being walked line by line.
         """
         if self.program_device is None or instructions <= 0:
             return
@@ -190,9 +194,10 @@ class ProcessingElement:
         cursor = self._fetch_cursor
         base = self.program_base
         footprint = self.code_footprint_words
+        cache_stats = icache.stats
         hits = 0
         misses = 0
-        for _ in range(fetches):
+        for done in range(1, fetches + 1):
             if access(base + cursor, False)[0]:
                 hits += 1
             else:
@@ -200,25 +205,42 @@ class ProcessingElement:
             cursor += line_words
             if cursor >= footprint:
                 cursor %= footprint
+                if self._footprint_resident(hits, misses):
+                    rest = fetches - done
+                    hits += rest
+                    cache_stats.hits += rest
+                    cursor = (cursor + rest * line_words) % footprint
+                    break
         self._fetch_cursor = cursor
-        stats.icache_hits += hits
-        stats.icache_misses += misses
-        cache_stats = icache.stats
-        if (
-            self._footprint_lines is not None
-            and cache_stats.evictions == 0
-            and icache.flushes == 0
-            and cache_stats.misses == self._footprint_lines
-            and cache_stats.misses == stats.icache_misses
-            and cache_stats.hits == stats.icache_hits
-        ):
+        if self._footprint_resident(hits, misses):
             # The cache holds exactly the footprint (and only our accesses
             # ever touched it): steady state from here on.
             self._fetch_warm = True
+        stats.icache_hits += hits
+        stats.icache_misses += misses
         if misses:
             yield from self.machine.miss_traffic(
                 self, self.program_device, misses, line_words, write=False
             )
+
+    def _footprint_resident(self, hits: int, misses: int) -> bool:
+        """Is exactly the code footprint resident in the I-cache?
+
+        ``hits``/``misses`` are the current walk's counts, not yet added to
+        :attr:`stats`.  True when the footprint is line-aligned, every
+        footprint line has missed once, nothing was evicted or flushed, and
+        the cache saw no accesses but this PE's fetches.
+        """
+        icache = self.icache
+        cache_stats = icache.stats
+        return (
+            self._footprint_lines is not None
+            and cache_stats.evictions == 0
+            and icache.flushes == 0
+            and cache_stats.misses == self._footprint_lines
+            and cache_stats.misses == self.stats.icache_misses + misses
+            and cache_stats.hits == self.stats.icache_hits + hits
+        )
 
     def _stream_traffic(self, touch: DataTouch) -> Generator:
         """Stream a buffer pass through the D-cache; misses hit the bus."""

@@ -16,9 +16,10 @@ flat physical addresses of the paper's examples ("mem_read(64, 0x000000,
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..sim.fabric import Machine
+from ..sim.hsregs import RegisterWaiter
 from ..sim.pe import DataTouch, ProcessingElement
 
 __all__ = ["Address", "SocAPI"]
@@ -49,6 +50,8 @@ class SocAPI:
         self.api_call_instructions = 300
         # A software poll iteration: load, mask, compare, branch.
         self.poll_probe_instructions = 25
+        # reg_wait's reusable waiters, by (handshake device, register).
+        self._waiters: Dict[Tuple[str, str], RegisterWaiter] = {}
 
     def _api_overhead(self) -> Generator:
         if self.api_call_instructions:
@@ -130,8 +133,15 @@ class SocAPI:
         between probes the PE idles with a capped exponential backoff (so
         event counts stay bounded on long waits while contention from the
         polling traffic is still present).
+
+        The PE sleeps between probes on a reusable
+        :class:`~repro.sim.hsregs.RegisterWaiter` (woken by the register
+        change or the backoff timer), one per (block, register) on this
+        PE's API.  A waiter still armed -- by a concurrent poll from another
+        process of this PE, or by a poll an interrupt abandoned -- is
+        replaced rather than re-armed.
         """
-        block = self.machine.devices[hs_device].target
+        key = (hs_device, register)
         interval = self.poll_interval
         while True:
             if self.poll_probe_instructions:
@@ -140,11 +150,14 @@ class SocAPI:
             self.pe.stats.handshake_polls += 1
             if observed == value:
                 return
-            waiter = block.wait_for(register, value)
-            if waiter.triggered:
+            waiter = self._waiters.get(key)
+            if waiter is None or waiter.busy:
+                block = self.machine.devices[hs_device].target
+                waiter = self._waiters[key] = RegisterWaiter(block, register)
+            wake = waiter.arm(value, interval)
+            if wake is None:
                 continue
-            timeout = self.machine.sim.timeout(interval)
-            yield self.machine.sim.any_of([waiter, timeout])
+            yield wake
             interval = min(interval * 2, self.poll_interval_max)
 
     # ------------------------------------------------------------------

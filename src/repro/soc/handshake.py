@@ -21,9 +21,11 @@ All three expose the same sender/receiver surface::
     yield from channel.release()        # receiver side, after processing
 
 ``release()`` is meaningful for BFBA (it re-asserts DONE_OP, Figure 12 step
-6) and a no-op elsewhere.  Each channel records a protocol *step trace* --
-``(step_label, cycle)`` pairs keyed to the numbered steps of the paper's
-state diagrams -- which the figure-reproduction benches assert against.
+6) and a no-op elsewhere.  On a machine built with ``trace_hsregs=True``
+each channel records a protocol *step trace* -- ``(step_label, cycle)``
+pairs keyed to the numbered steps of the paper's state diagrams -- which
+the figure-reproduction benches assert against; otherwise the trace stays
+empty.
 
 :class:`FpaDistributor` implements the functional-parallel pattern of
 Example 5 proper: one PE distributes raw data chunks to every worker through
@@ -60,9 +62,11 @@ class Channel:
         self.max_words = max_words
         self.transfers = 0
         self.trace: List[Tuple[str, int]] = []
+        self._tracing = sender.machine.trace_hsregs
 
     def _mark(self, label: str) -> None:
-        self.trace.append((label, self.sender.machine.sim.now))
+        if self._tracing:
+            self.trace.append((label, self.sender.machine.sim.now))
 
     # Sender / receiver surface -----------------------------------------
     def send(self, values: Sequence[int]) -> Generator:
@@ -357,9 +361,11 @@ class FpaDistributor:
             self.in_buffers[ban] = (self.memory, machine.reserve(self.memory, chunk_words))
             self.out_buffers[ban] = (self.memory, machine.reserve(self.memory, result_words))
         self.trace: List[Tuple[str, int]] = []
+        self._tracing = machine.trace_hsregs
 
     def _mark(self, label: str) -> None:
-        self.trace.append((label, self.distributor.machine.sim.now))
+        if self._tracing:
+            self.trace.append((label, self.distributor.machine.sim.now))
 
     def _rv(self, ban: str) -> str:
         return "DONE_RV_FPA_%s" % ban

@@ -212,7 +212,8 @@ class TestMakeChannel:
 
 class TestFpaDistributor:
     def test_distribute_and_collect(self):
-        machine = build_machine(presets.preset("GBAVIII", 4))
+        # trace_hsregs: the distributor records its step markers.
+        machine = build_machine(presets.preset("GBAVIII", 4), trace_hsregs=True)
         apis = {ban: SocAPI(machine, ban) for ban in machine.pe_order}
         workers = {ban: apis[ban] for ban in ("B", "C", "D")}
         distributor = FpaDistributor(apis["A"], workers, chunk_words=16, result_words=16)

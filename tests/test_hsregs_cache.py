@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim.cache import Cache, mpc755_dcache, mpc755_icache
-from repro.sim.hsregs import HandshakeRegisters, SharedVariables
-from repro.sim.kernel import Simulator
+from repro.sim.hsregs import HandshakeRegisters, RegisterWaiter, SharedVariables
+from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.memory import Sram
 
 
@@ -34,23 +34,65 @@ class TestHandshakeRegisters:
         with pytest.raises(KeyError):
             block.read("REQ")
 
-    def test_wait_for_value_change(self, sim):
+    def test_waiter_wakes_on_value_change(self, sim):
         block = HandshakeRegisters(sim, "hs")
-        event = block.wait_for("DONE_OP", 1)
-        assert not event.triggered
-        block.write("DONE_OP", 1)
-        assert event.triggered
+        waiter = RegisterWaiter(block, "DONE_OP")
+        woken = []
+        wake = waiter.arm(1, timeout=100)
+        wake.add_callback(lambda _e: woken.append(sim.now))  # the poller
+        assert waiter.busy
+        sim._post_callback(lambda _e: block.write("DONE_OP", 1), 5)
+        sim.run(until=6)
+        assert woken == [5] and not waiter.busy
+        assert block._watchers["DONE_OP"] == []
 
-    def test_wait_for_already_satisfied(self, sim):
+    def test_waiter_already_satisfied(self, sim):
         block = HandshakeRegisters(sim, "hs", done_op=1)
-        event = block.wait_for("DONE_OP", 1)
-        assert event.triggered
+        waiter = RegisterWaiter(block, "DONE_OP")
+        assert waiter.arm(1, timeout=100) is None
+        assert not waiter.busy and sim.peek() is None
 
-    def test_wait_for_wrong_value_stays_pending(self, sim):
+    def test_waiter_wrong_register_stays_pending(self, sim):
         block = HandshakeRegisters(sim, "hs")
-        event = block.wait_for("DONE_OP", 1)
+        waiter = RegisterWaiter(block, "DONE_OP")
+        wake = waiter.arm(1, timeout=100)
         block.write("DONE_RV", 1)  # other register
-        assert not event.triggered
+        sim.run(until=50)
+        assert not wake.fired and waiter.busy
+
+    def test_waiter_rearm_before_wake_rejected(self, sim):
+        block = HandshakeRegisters(sim, "hs")
+        waiter = RegisterWaiter(block, "DONE_OP")
+        waiter.arm(1, timeout=10)
+        with pytest.raises(SimulationError):
+            waiter.arm(1, timeout=10)
+
+    def test_waiter_timeout_leaves_no_watcher(self, sim):
+        block = HandshakeRegisters(sim, "hs")
+        waiter = RegisterWaiter(block, "DONE_OP")
+        woken = []
+        for _ in range(3):
+            wake = waiter.arm(1, timeout=10)
+            wake.add_callback(lambda _e: woken.append(sim.now))  # the poller
+            sim.run()
+            assert not waiter.busy
+        assert woken == [10, 20, 30]
+        # Timed-out arms drop off the watcher list instead of piling up.
+        assert block._watchers["DONE_OP"] == []
+
+    def test_waiter_first_arrival_wins(self, sim):
+        """A change and the timer in the same cycle wake the waiter once;
+        the timer's entry still fires, as a composite's Timeout would."""
+        block = HandshakeRegisters(sim, "hs")
+        waiter = RegisterWaiter(block, "DONE_OP")
+        woken = []
+        wake = waiter.arm(1, timeout=10)
+        wake.add_callback(lambda e: woken.append(sim.now))
+        sim._post_callback(lambda _e: block.write("DONE_OP", 1), 4)
+        sim.run()
+        assert woken == [4]
+        # hop + wake at cycle 4, then the stale timer at 10.
+        assert sim.now == 10
 
     def test_trace_records_changes(self, sim):
         block = HandshakeRegisters(sim, "hs", trace=True)

@@ -57,6 +57,60 @@ class TestSram:
         assert sram.read(0, len(values)) == values
 
 
+_SPAN_OPS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("write"),
+            st.integers(min_value=-8, max_value=5000),
+            st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=2100),
+        ),
+        st.tuples(
+            st.just("read"),
+            st.integers(min_value=-8, max_value=5000),
+            st.integers(min_value=0, max_value=2100),
+        ),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestPagedStorage:
+    """Paged word storage against a plain-dict reference model."""
+
+    @given(size=st.integers(min_value=1, max_value=4200), ops=_SPAN_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dict_model(self, size, ops):
+        memory = Sram("m", size)
+        model = {}
+        for op, address, arg in ops:
+            count = len(arg) if op == "write" else arg
+            if address < 0 or address + count > size:
+                with pytest.raises(IndexError):
+                    if op == "write":
+                        memory.write(address, arg)
+                    else:
+                        memory.read(address, count)
+                continue
+            if op == "write":
+                memory.write(address, arg)
+                for offset, value in enumerate(arg):
+                    model[address + offset] = value & 0xFFFFFFFF
+            else:
+                assert memory.read(address, count) == [
+                    model.get(address + offset, 0) for offset in range(count)
+                ]
+        assert memory.read(0, size) == [model.get(i, 0) for i in range(size)]
+
+    def test_span_across_page_boundaries(self):
+        memory = Sram("m", 4096)
+        values = list(range(1, 2051))
+        memory.write(1000, values)  # pages 0, 1 and 2
+        assert memory.read(1000, len(values)) == values
+        assert memory.read(990, 10) == [0] * 10
+        assert memory.read(3050, 10) == [0] * 10
+
+
 class TestDram:
     def test_row_miss_then_hit(self):
         dram = Dram("d", 4096, row_words=256, hit_cycles=2, miss_cycles=6)

@@ -61,6 +61,32 @@ class TestFft:
         raw = ifft_butterflies(bit_reverse_permute(x))
         np.testing.assert_allclose(raw / 16, np.fft.ifft(x), atol=1e-9)
 
+    @pytest.mark.parametrize("log_n", range(1, 13))
+    def test_butterflies_match_block_loop_bytes(self, log_n):
+        """The whole-pass butterflies are byte-identical to a loop over the
+        butterfly blocks of each pass."""
+
+        def block_loop(data):
+            data = np.array(data, dtype=np.complex128)
+            n = len(data)
+            span = 1
+            while span < n:
+                step = span * 2
+                twiddles = np.exp(2j * np.pi * np.arange(span) / step)
+                for start in range(0, n, step):
+                    upper = data[start : start + span].copy()
+                    lower = data[start + span : start + step] * twiddles
+                    data[start : start + span] = upper + lower
+                    data[start + span : start + step] = upper - lower
+                span = step
+            return data
+
+        n = 2**log_n
+        rng = np.random.default_rng(100 + log_n)
+        for _ in range(3):
+            x = rng.normal(size=n) + 1j * rng.normal(size=n)
+            assert ifft_butterflies(x).tobytes() == block_loop(x).tobytes()
+
     @given(st.integers(min_value=1, max_value=8))
     @settings(max_examples=8, deadline=None)
     def test_parseval_property(self, log_n):

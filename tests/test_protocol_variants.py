@@ -13,8 +13,8 @@ from repro.soc.handshake import GbaviChannel, ThreeRegisterChannel
 
 
 class TestThreeRegisterChannel:
-    def _run(self, channel_cls, transfers=5):
-        machine = build_machine(presets.preset("GBAVI", 4))
+    def _run(self, channel_cls, transfers=5, trace_hsregs=False):
+        machine = build_machine(presets.preset("GBAVI", 4), trace_hsregs=trace_hsregs)
         channel = channel_cls(SocAPI(machine, "A"), SocAPI(machine, "B"), 16)
         payload = list(range(16))
         received = []
@@ -39,7 +39,10 @@ class TestThreeRegisterChannel:
         assert channel.transfers == 5
 
     def test_read_request_steps_traced(self):
-        _cycles, channel = self._run(ThreeRegisterChannel, transfers=1)
+        # Step markers are recorded only on machines built for tracing.
+        _cycles, channel = self._run(
+            ThreeRegisterChannel, transfers=1, trace_hsregs=True
+        )
         labels = [label for label, _cycle in channel.trace]
         assert "1:assert read request" in labels
         assert "1:consume read request" in labels
