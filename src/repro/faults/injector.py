@@ -4,7 +4,8 @@
 into a built machine: every simulation model (segments, arbiters, FIFOs,
 memories, bridges, PEs) gets a reference to one shared
 :class:`FaultInjector`, and the thin hooks in ``repro.sim.*`` consult it.
-The hooks follow the observability NULL-object contract -- a model whose
+Fault injection is the only interceptor beside the observe-only probe
+plane (:mod:`repro.sim.probe`) -- a model whose
 ``faults`` attribute is ``None`` pays one attribute load and a branch, and
 an installed-but-empty plan schedules no events, so the run stays
 bit-identical to an uninstrumented one (tests/test_faults.py).
@@ -173,13 +174,9 @@ class FaultInjector:
         self._fired_keys.add(spec.key())
         obs = self.machine._obs
         if obs is not None:
-            tracer = obs.tracer
-            if tracer.enabled:
-                tracer.fault(now, spec.site, spec.kind, "inject")
-            registry = obs.registry
-            if registry is not None:
-                registry.counter("faults.injected").inc()
-                registry.counter("faults.injected.%s" % spec.kind).inc()
+            obs.tracer.fault(now, spec.site, spec.kind, "inject")
+            obs.registry.counter("faults.injected").inc()
+            obs.registry.counter("faults.injected.%s" % spec.kind).inc()
         return episode
 
     def _resolve(self, episode: dict, outcome: str) -> None:
@@ -197,14 +194,10 @@ class FaultInjector:
             self.accounted += 1
         obs = self.machine._obs
         if obs is not None:
-            tracer = obs.tracer
-            if tracer.enabled:
-                tracer.fault(now, episode["site"], episode["kind"], outcome)
-            registry = obs.registry
-            if registry is not None:
-                registry.counter("faults.%s" % outcome).inc()
-                if outcome == "recovered":
-                    registry.histogram("faults.recovery_latency").observe(latency)
+            obs.tracer.fault(now, episode["site"], episode["kind"], outcome)
+            obs.registry.counter("faults.%s" % outcome).inc()
+            if outcome == "recovered":
+                obs.registry.histogram("faults.recovery_latency").observe(latency)
 
     def resilience_report(self):
         from .report import ResilienceReport
@@ -397,7 +390,7 @@ class FaultInjector:
                 return
             self.timeouts += 1
             obs = self.machine._obs
-            if obs is not None and obs.tracer.enabled:
+            if obs is not None:
                 obs.tracer.fault(sim.now, segment.name, "bus_timeout", "detect")
             wait <<= 1
         arbiter.cancel(master, grant)

@@ -13,16 +13,20 @@ Three pillars (see docs/observability.md for the user-facing guide):
   every experiment case and benchmark run, with deterministic aggregation
   across parallel workers.
 
-The cost contract: observability is **free when off**.  Simulation models
-hold a reference to either ``None`` or the :data:`~repro.obs.tracer.NULL_TRACER`
-singleton; the hot paths pay one attribute load and a branch per bus
-tenure, and nothing is allocated.  Attaching an :class:`Observability`
-instance to a machine (``machine.attach_observability(obs)``) switches the
-same hooks to record spans and histogram samples.
+The cost contract: observability is **free when off**.  An
+:class:`Observability` is one subscriber of the probe plane
+(:mod:`repro.sim.probe`): unobserved bus models hold ``probe = None`` and
+pay one attribute load and a branch per hook site.  Attaching one
+(``machine.attach_observability(obs)``) puts it in every model's probe
+slot, where it records spans and histogram samples.
 """
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
+from ..sim.bus import BusSegment
+from ..sim.probe import Probe
 from .metrics import (
     DEFAULT_CYCLE_BUCKETS,
     Counter,
@@ -39,7 +43,6 @@ from .report import (
     record_run,
 )
 from .tracer import (
-    NULL_TRACER,
     Tracer,
     chrome_trace_events,
     validate_chrome_trace,
@@ -50,7 +53,6 @@ from .tracer import (
 __all__ = [
     "Observability",
     "Tracer",
-    "NULL_TRACER",
     "chrome_trace_events",
     "validate_chrome_trace",
     "write_chrome_trace",
@@ -69,49 +71,57 @@ __all__ = [
 ]
 
 
-class Observability:
-    """A tracer plus a metrics registry, attached to a machine as one unit.
+class Observability(Probe):
+    """A tracer plus a metrics registry, subscribed to a machine as one probe.
 
-    ``tracing=False`` keeps the metrics registry but records no spans
-    (``NULL_TRACER``); ``metrics=False`` keeps spans but attaches no
-    histograms.  ``occupancy_window`` is the bucket width (in bus cycles)
-    of the per-segment occupancy-over-time series.
+    Records one span per bus tenure, bridge hops, FIFO fill levels and
+    queued-grant marks on :attr:`tracer`; every segment also gets an
+    arbitration-wait histogram and an occupancy-over-time series (1024-cycle
+    windows) in :attr:`registry`, kept per segment in :attr:`detail`.
     """
 
-    def __init__(
-        self,
-        tracing: bool = True,
-        metrics: bool = True,
-        occupancy_window: int = 1024,
-    ):
-        self.tracer = Tracer() if tracing else NULL_TRACER
-        self.registry = MetricsRegistry() if metrics else None
-        self.occupancy_window = occupancy_window
+    def __init__(self):
+        self.tracer = Tracer()
+        self.registry = MetricsRegistry()
+        # segment -> (arbitration-wait histogram, occupancy series)
+        self.detail: Dict[BusSegment, Tuple[Histogram, TimeSeries]] = {}
 
-    def bus_transaction(
-        self,
-        segment,
-        master: str,
-        start: int,
-        acquired: int,
-        end: int,
-        words: int,
-        write: bool,
-        memory_cycles: int = 0,
-    ) -> None:
-        """Record one completed bus tenure on ``segment``.
-
-        ``start``/``acquired``/``end`` mirror exactly what the call site
-        added to :class:`~repro.sim.stats.BusStats`, so span sums and the
-        counters agree cycle-for-cycle (tested in test_observability.py).
-        """
-        tracer = self.tracer
-        if tracer.enabled:
-            tracer.transaction(
-                segment.name, master, start, acquired, end, words, write, memory_cycles
+    def bind(self, model) -> None:
+        if isinstance(model, BusSegment):
+            registry = self.registry
+            self.detail[model] = (
+                registry.histogram("bus.%s.arb_wait_cycles" % model.name),
+                registry.time_series("bus.%s.occupancy" % model.name),
             )
-        stats = segment.stats
-        hist = stats._arb_hist
-        if hist is not None:
-            hist.observe(acquired - start)
-            stats._occupancy.add(acquired, end)
+
+    def on_grant(self, arbiter, master: str, queued: bool, waited: int) -> None:
+        if queued:
+            # Queued grants only -- immediate grants carry zero wait and
+            # already appear as the transaction span's arbitration phase.
+            self.tracer.instant(
+                arbiter.sim.now,
+                arbiter.name,
+                "grant %s" % master,
+                {"waited": waited, "still_pending": arbiter.pending_count},
+            )
+
+    def on_tenure(
+        self, segment, master, start, acquired, end, words, write, memory_cycles
+    ) -> None:
+        # start/acquired/end mirror exactly what the call site added to
+        # BusStats, so span sums and the counters agree cycle-for-cycle.
+        self.tracer.transaction(
+            segment.name, master, start, acquired, end, words, write, memory_cycles
+        )
+        histogram, occupancy = self.detail[segment]
+        histogram.observe(acquired - start)
+        occupancy.add(acquired, end)
+
+    def on_fifo_push(self, fifo, count: int) -> None:
+        self.tracer.fifo(fifo.sim.now, fifo.name, "push", count, fifo.count)
+
+    def on_fifo_pop(self, fifo, count: int) -> None:
+        self.tracer.fifo(fifo.sim.now, fifo.name, "pop", count, fifo.count)
+
+    def on_bridge_cross(self, bridge, master: str) -> None:
+        self.tracer.hop(bridge.sim.now, bridge.name)

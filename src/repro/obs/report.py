@@ -94,7 +94,7 @@ class RunReport:
         return lines
 
 
-def _segment_entry(segment, elapsed_cycles: int) -> Dict[str, Any]:
+def _segment_entry(segment, elapsed_cycles: int, obs) -> Dict[str, Any]:
     stats = segment.stats
     held = stats.held_cycles
     entry: Dict[str, Any] = {
@@ -114,12 +114,12 @@ def _segment_entry(segment, elapsed_cycles: int) -> Dict[str, Any]:
         "arbiter_grants": segment.arbiter.grants,
         "attached_interfaces": segment.attached_interfaces,
     }
-    hist = stats._arb_hist
-    if hist is not None:
+    if obs is not None:
+        hist, occupancy = obs.detail[segment]
         entry["arb_wait_p50"] = hist.percentile(50)
         entry["arb_wait_p90"] = hist.percentile(90)
         entry["arb_wait_p99"] = hist.percentile(99)
-        entry["occupancy_peak_fraction"] = stats._occupancy.peak()
+        entry["occupancy_peak_fraction"] = occupancy.peak()
     return entry
 
 
@@ -129,7 +129,7 @@ def build_run_report(
     """Snapshot a machine (post-run) into a :class:`RunReport`.
 
     Works on any machine -- observability attached or not; the percentile
-    fields simply appear only when the segment histograms exist.
+    and occupancy fields appear only when an Observability is attached.
     """
     sim = machine.sim
     elapsed = sim.now
@@ -142,7 +142,7 @@ def build_run_report(
     )
     for segment_name in sorted(machine.segments):
         report.segments.append(
-            _segment_entry(machine.segments[segment_name], elapsed)
+            _segment_entry(machine.segments[segment_name], elapsed, machine.obs)
         )
     for pe_name in sorted(machine.pes):
         report.pes.append(machine.pes[pe_name].stats.as_dict())

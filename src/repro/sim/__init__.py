@@ -35,7 +35,7 @@ from .interrupt import InterruptController, InterruptLine
 from .memory import Dram, Memory, Sram, make_memory
 from .pe import DataTouch, ProcessingElement
 from .stats import BusStats, PeStats
-from .vcd import VcdWriter, vcd_from_machine
+from .vcd import GrantRecorder, VcdWriter, vcd_from_machine
 
 __all__ = [
     "AllOf",
@@ -81,6 +81,7 @@ __all__ = [
     "BusStats",
     "PeStats",
     "DmaEngine",
+    "GrantRecorder",
     "VcdWriter",
     "vcd_from_machine",
 ]

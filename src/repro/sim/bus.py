@@ -9,10 +9,9 @@ generated buses), then stream data at one beat per cycle with
 ``data_width/32`` words per beat.
 
 A *Bus Bridge* (BB, definition B) is an on-off connection point between two
-segments.  When enabled, a transaction crosses store-and-forward style: the
-path is walked segment by segment, paying the bridge's hop latency between
-segments.  Acquiring segments one at a time (release before the next hop)
-keeps crossing transactions deadlock-free.
+segments.  A bridged transfer (:meth:`repro.sim.fabric.Machine.transaction`)
+wins every segment on its route in a canonical order, then pays each
+bridge's hop latency while the joined path moves the data.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Generator, List, Optional, Tuple
 
-from ..obs.tracer import NULL_TRACER
 from .arbiter import Arbiter, FCFSArbiter
 from .kernel import Simulator
 from .stats import BusStats
@@ -59,9 +57,8 @@ class BusSegment:
         "beat_cycles",
         "attached_interfaces",
         "stats",
-        "obs",
+        "probe",
         "faults",
-        "monitor",
     )
 
     def __init__(
@@ -94,14 +91,10 @@ class BusSegment:
         self.beat_cycles = beat_cycles
         self.attached_interfaces = 0
         self.stats = BusStats(name)
-        # Observability hook (repro.obs.Observability); None keeps occupy()
-        # on the zero-cost path.  Set by Machine.attach_observability.
-        self.obs = None
+        # Observers (repro.sim.probe): transfer open/close and tenure events.
+        self.probe = None
         # Fault injector (repro.faults); None keeps occupy() hook-free.
         self.faults = None
-        # Protocol assertion monitor (repro.verify.monitors); None keeps
-        # occupy() hook-free.  Set by repro.verify.attach_monitors.
-        self.monitor = None
 
     @property
     def words_per_beat(self) -> int:
@@ -133,9 +126,9 @@ class BusSegment:
             yield from faults.acquire(self, master)
         elif not self.arbiter.try_claim(master):
             yield self.arbiter.request(master)
-        monitor = self.monitor
-        if monitor is not None:
-            monitor.on_transfer_open(self, master)
+        probe = self.probe
+        if probe is not None:
+            probe.on_transfer_open(self, master)
         grant = self.write_grant_cycles if write else self.grant_cycles
         # Grant latency and data beats are one uninterrupted tenure with no
         # observable state change in between: charge them as a single kernel
@@ -146,8 +139,8 @@ class BusSegment:
             yield grant + beats + extra_cycles
         finally:
             self.arbiter.release(master)
-            if monitor is not None:
-                monitor.on_transfer_close(self, master)
+            if probe is not None:
+                probe.on_transfer_close(self, master)
         end = sim.now
         timing = TransferTiming(
             start=start,
@@ -157,11 +150,10 @@ class BusSegment:
             memory=extra_cycles,
         )
         self.stats.record(master, words, write, timing)
-        obs = self.obs
-        if obs is not None:
-            # Span boundaries mirror the stats: arbitration runs to the
+        if probe is not None:
+            # Tenure boundaries mirror the stats: arbitration runs to the
             # grant-latency boundary, tenure from there to release.
-            obs.bus_transaction(
+            probe.on_tenure(
                 self, master, start, arbitration_done, end, words, write, extra_cycles
             )
         return timing
@@ -184,9 +176,8 @@ class BusBridge:
         "hop_cycles",
         "enabled",
         "crossings",
-        "tracer",
+        "probe",
         "faults",
-        "monitor",
     )
 
     def __init__(
@@ -205,12 +196,10 @@ class BusBridge:
         self.hop_cycles = hop_cycles
         self.enabled = enabled
         self.crossings = 0
-        self.tracer = NULL_TRACER
-        # Fault injector (repro.faults); None keeps cross() hook-free.
+        # Observers (repro.sim.probe): one bridge-cross event per crossing.
+        self.probe = None
+        # Fault injector (repro.faults): extra hop delay.
         self.faults = None
-        # Protocol assertion monitor (repro.verify.monitors); None keeps
-        # cross() hook-free.
-        self.monitor = None
 
     def other_side(self, segment: BusSegment) -> BusSegment:
         if segment is self.side_a:
@@ -223,20 +212,6 @@ class BusBridge:
 
     def connects(self, seg1: BusSegment, seg2: BusSegment) -> bool:
         return {seg1, seg2} == {self.side_a, self.side_b}
-
-    def cross(self) -> Generator:
-        """Charge the hop; raises if the bridge is disabled."""
-        if not self.enabled:
-            raise RuntimeError("bus bridge %r is disabled" % self.name)
-        self.crossings += 1
-        if self.tracer.enabled:
-            self.tracer.hop(self.sim.now, self.name)
-        if self.monitor is not None:
-            self.monitor.on_bridge_cross(self, None)
-        extra = 0
-        if self.faults is not None:
-            extra = self.faults.bridge_delay(self.name)
-        yield self.hop_cycles + extra
 
 
 def find_route(

@@ -8,9 +8,9 @@ Two layers of specialization over the timing wheel
   (no proxy event, no callback list, no allocation on the hot path);
 * :mod:`repro.sim.compiled.specializer` -- per-architecture fabric
   specialization: arbiter policy and route plans baked into generated
-  per-(master, device) transaction functions, installed when every
-  observability/fault/monitor hook is off and removed the moment one is
-  attached (free-when-off becomes *absent*-when-off).
+  per-(master, device) transaction functions, installed only on segments
+  with an FCFS arbiter, no probe subscriber and no fault injector, and
+  removed the moment either hook is attached.
 
 ``repro compile -o DIR`` dumps every generated source for inspection.
 """

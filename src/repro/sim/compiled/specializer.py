@@ -21,11 +21,13 @@ per-master jump table; unknown pairs (bridged routes, post-build DMA
 masters, FIFO devices) fall back to the generic bound methods, so behaviour
 -- and therefore every simulated cycle and statistic -- is bit-identical.
 
-Specialization requires every observability, fault-injection and protocol
--monitor hook to be off; attaching any of them calls
-:meth:`Machine._despecialize`, which removes the instance attributes and
-restores the generic path.  The free-when-off contract thus becomes
-*absent*-when-off: a hooked run contains no specialized call sites at all.
+One despecialization rule covers every hook: a segment is eligible only
+when its arbiter is FCFS and neither the segment nor its arbiter has a
+probe subscriber (:mod:`repro.sim.probe`) or a fault injector.  Both attach
+paths (:meth:`Machine.attach_probe` and :func:`repro.faults.install_faults`)
+also call :meth:`Machine._despecialize`, which removes the instance
+attributes and restores the generic path, so a hooked run contains no
+specialized call sites at all.
 
 The rendered per-machine source is kept on ``machine._specialized_source``
 for inspection (``repro compile -o``).
@@ -37,23 +39,19 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..arbiter import FCFSArbiter
 from ..pe import MISS_GROUP
-from ...obs.tracer import NULL_TRACER
 
 __all__ = ["specialize_machine", "eligible_pairs", "specialized_fabric_source"]
 
 
 def _segment_is_clean(segment) -> bool:
-    """Whether a segment's transfer path has no hooks and an FCFS arbiter."""
+    """FCFS, no probe, no faults -- on the segment and on its arbiter."""
     arbiter = segment.arbiter
     return (
         type(arbiter) is FCFSArbiter
-        and arbiter.tracer is NULL_TRACER
-        and not arbiter.trace_enabled
-        and arbiter.faults is None
-        and arbiter.monitor is None
-        and segment.obs is None
+        and segment.probe is None
+        and arbiter.probe is None
         and segment.faults is None
-        and segment.monitor is None
+        and arbiter.faults is None
     )
 
 
@@ -311,14 +309,9 @@ def specialize_machine(machine) -> bool:
     """Compile and install specialized dispatch on ``machine``.
 
     Returns True when at least one pair was specialized.  No-op (False)
-    when a hook is attached or nothing is eligible; safe to call twice.
+    when nothing is eligible -- every hook attach path probes or faults
+    every segment -- and safe to call twice.
     """
-    if (
-        machine._obs is not None
-        or machine._faults is not None
-        or machine._monitor is not None
-    ):
-        return False
     if getattr(machine, "_specialized", False):
         return True
     source, entries = specialized_fabric_source(machine)

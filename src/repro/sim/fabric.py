@@ -42,6 +42,7 @@ from .interrupt import InterruptController
 from .kernel import Simulator
 from .memory import Memory, Sram, make_memory
 from .pe import MISS_GROUP, ProcessingElement
+from .probe import subscribe
 
 __all__ = [
     "Device",
@@ -133,16 +134,14 @@ class Machine:
         # revalidated against the enable mask on every lookup.
         self._plan_cache: Dict[Tuple[str, str], Tuple[Tuple[bool, ...], _PreparedPlan]] = {}
         self.bus_clock_hz = 100_000_000  # SYSCLK cap of the MPC755 (sec. VI.B)
-        # Observability layer (repro.obs.Observability); None means every
-        # hook below stays on the zero-cost path.
+        # Probe subscribers attached through attach_observability /
+        # attach_monitors (the bus models hold them in their probe slots).
         self._obs = None
+        self._monitor = None
         # Fault injector (repro.faults.FaultInjector); None keeps the
         # transaction path free of retry/recovery logic.  Set by
         # repro.faults.install_faults.
         self._faults = None
-        # Protocol assertion monitor (repro.verify.monitors); None keeps
-        # _occupy_path hook-free.  Set by repro.verify.attach_monitors.
-        self._monitor = None
         # Compiled-backend fabric specialization (repro.sim.compiled): when
         # set, ``transaction``/``miss_traffic`` are shadowed by generated
         # per-(master, device) dispatch installed as instance attributes.
@@ -156,48 +155,38 @@ class Machine:
     def obs(self):
         return self._obs
 
-    def attach_observability(self, obs) -> None:
-        """Wire an :class:`repro.obs.Observability` into every model.
+    def attach_probe(self, subscriber):
+        """Subscribe a :class:`repro.sim.probe.Probe` to every bus model.
 
-        Segments route completed tenures through ``obs.bus_transaction``
-        (spans + arbitration-wait histograms + occupancy series), bridges
-        and FIFOs record onto its tracer, arbiters mark queued grants, and
-        the kernel tracks peak event-queue depth.  Attaching never changes
-        simulation behaviour -- a traced run is bit-identical to an
-        untraced one, just observable.
+        The one attach path for observers: every segment, its arbiter,
+        every bridge and every FIFO direction gets ``subscriber`` in its
+        ``probe`` slot, and compiled-backend specialization is dropped (a
+        probed segment is never specialized).  Probes only observe, so a
+        probed run is bit-identical to a bare one.  Returns ``subscriber``.
         """
         self._despecialize()
-        self._obs = obs
-        self.sim.monitor_depth = True
-        registry = obs.registry
-        for name, segment in self.segments.items():
-            segment.obs = obs
-            segment.arbiter.tracer = obs.tracer
-            if registry is not None:
-                segment.stats.attach_detail(
-                    registry.histogram("bus.%s.arb_wait_cycles" % name),
-                    registry.time_series(
-                        "bus.%s.occupancy" % name, obs.occupancy_window
-                    ),
-                )
+        for segment in self.segments.values():
+            subscribe(segment, subscriber)
+            subscribe(segment.arbiter, subscriber)
         for bridge in self.bridges:
-            bridge.tracer = obs.tracer
+            subscribe(bridge, subscriber)
         for block in self.fifo_blocks.values():
-            block.up.tracer = obs.tracer
-            block.down.tracer = obs.tracer
+            subscribe(block.up, subscriber)
+            subscribe(block.down, subscriber)
+        return subscriber
+
+    def attach_observability(self, obs) -> None:
+        """Attach an :class:`repro.obs.Observability` (spans + metrics) and
+        track the kernel's peak event-queue depth."""
+        self.sim.monitor_depth = True
+        self._obs = self.attach_probe(obs)
 
     def attach_monitors(self, fail_fast: bool = True):
-        """Attach runtime protocol assertion monitors to every bus model.
+        """Attach a :class:`repro.verify.ProtocolMonitor`; returns it."""
+        from ..verify.monitors import ProtocolMonitor
 
-        Convenience wrapper around :func:`repro.verify.attach_monitors`;
-        returns the :class:`repro.verify.ProtocolMonitor`.  Monitors are
-        observational only -- a monitored run is bit-identical to an
-        unmonitored one (the free-when-off contract shared with ``obs``
-        and ``faults``).
-        """
-        from ..verify.monitors import attach_monitors
-
-        return attach_monitors(self, fail_fast=fail_fast)
+        self._monitor = self.attach_probe(ProtocolMonitor(fail_fast=fail_fast))
+        return self._monitor
 
     def bus_snapshot(self) -> Dict[str, Dict[str, int]]:
         """Per-segment ``BusStats.as_dict()`` plus the arbiter's ``grants``.
@@ -213,11 +202,12 @@ class Machine:
     def _despecialize(self) -> None:
         """Remove compiled-backend specialized dispatch, if installed.
 
-        Every hook attach point (observability, protocol monitors, fault
-        injection) calls this first: a hooked machine must run the generic
-        instrumented ``transaction``/``miss_traffic`` paths.  The generated
-        dispatch lives in instance attributes, so dropping them restores
-        the class methods; a later re-specialization rebuilds from scratch.
+        Both hook attach paths (:meth:`attach_probe` and
+        :func:`repro.faults.install_faults`) call this first: a hooked
+        machine must run the generic ``transaction``/``miss_traffic``
+        paths.  The generated dispatch lives in instance attributes, so
+        dropping them restores the class methods; a later
+        re-specialization rebuilds from scratch.
         """
         self.__dict__.pop("transaction", None)
         self.__dict__.pop("miss_traffic", None)
@@ -440,9 +430,9 @@ class Machine:
             elif not segment.arbiter.try_claim(master):
                 yield segment.arbiter.request(master)
             acquired = sim.now
-            monitor = segment.monitor
-            if monitor is not None:
-                monitor.on_transfer_open(segment, master)
+            probe = segment.probe
+            if probe is not None:
+                probe.on_transfer_open(segment, master)
             grant = segment.write_grant_cycles if write else segment.grant_cycles
             words_per_beat = segment.words_per_beat
             beats = (
@@ -460,8 +450,6 @@ class Machine:
                 if held:
                     end = sim.now
                     segment.arbiter.release(master)
-                    if monitor is not None:
-                        monitor.on_transfer_close(segment, master)
                     # Inlined BusStats.record (hot path: one call per bus
                     # tenure) without materializing a TransferTiming.
                     stats = segment.stats
@@ -476,9 +464,9 @@ class Machine:
                     stats.memory_cycles += memory_cycles
                     per_master = stats.per_master
                     per_master[master] = per_master.get(master, 0) + 1
-                    obs = self._obs
-                    if obs is not None:
-                        obs.bus_transaction(
+                    if probe is not None:
+                        probe.on_transfer_close(segment, master)
+                        probe.on_tenure(
                             segment, master, entry, acquired, end,
                             words, write, memory_cycles,
                         )
@@ -501,8 +489,8 @@ class Machine:
                 grant = segment.write_grant_cycles if write else segment.grant_cycles
                 yield grant * items
                 held_segments.append(segment)
-                if segment.monitor is not None:
-                    segment.monitor.on_transfer_open(segment, master)
+                if segment.probe is not None:
+                    segment.probe.on_transfer_open(segment, master)
             words_per_beat = plan.words_per_beat
             beats = (max(words, 1) + words_per_beat - 1) // words_per_beat * plan.beat_cycles
             hops = 0
@@ -510,23 +498,16 @@ class Machine:
                 if not bridge.enabled:
                     raise RuntimeError("bus bridge %r is disabled" % bridge.name)
                 bridge.crossings += 1
-                if bridge.tracer.enabled:
-                    bridge.tracer.hop(sim.now, bridge.name)
-                if bridge.monitor is not None:
-                    # Forwarding conservation: the crossing master must hold
-                    # the grant on both attached segments while data moves.
-                    bridge.monitor.on_bridge_cross(bridge, master)
+                if bridge.probe is not None:
+                    bridge.probe.on_bridge_cross(bridge, master)
                 hops += bridge.hop_cycles
                 if bridge.faults is not None:
                     hops += bridge.faults.bridge_delay(bridge.name)
             yield beats + hops + memory_cycles
         finally:
             end = sim.now
-            obs = self._obs
             for segment in reversed(held_segments):
                 segment.arbiter.release(master)
-                if segment.monitor is not None:
-                    segment.monitor.on_transfer_close(segment, master)
             for index, segment in enumerate(held_segments):
                 timing = TransferTiming(
                     start=entry,
@@ -536,8 +517,10 @@ class Machine:
                     memory=memory_cycles,
                 )
                 segment.stats.record(master, words, write, timing)
-                if obs is not None:
-                    obs.bus_transaction(
+                probe = segment.probe
+                if probe is not None:
+                    probe.on_transfer_close(segment, master)
+                    probe.on_tenure(
                         segment, master, entry, acquired_at[index], end,
                         words, write, memory_cycles,
                     )

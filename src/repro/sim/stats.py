@@ -8,10 +8,9 @@ observations (A)-(D) under Table II.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..obs.metrics import Histogram, TimeSeries
     from .bus import TransferTiming
 
 __all__ = ["BusStats", "PeStats"]
@@ -20,11 +19,9 @@ __all__ = ["BusStats", "PeStats"]
 class BusStats:
     """Aggregate counters for one bus segment.
 
-    When an observability layer is attached to the machine
-    (:meth:`attach_detail`), the segment additionally records a
-    per-transaction arbitration-wait histogram and an occupancy-over-time
-    series in the shared metrics registry; the counters and ``as_dict()``
-    surface are unchanged either way, so experiments never notice.
+    Per-transaction detail (the arbitration-wait histogram and occupancy
+    series) lives on the :class:`repro.obs.Observability` subscriber when
+    one is attached; these counters are the same either way.
     """
 
     def __init__(self, name: str):
@@ -37,16 +34,6 @@ class BusStats:
         self.arbitration_cycles = 0
         self.memory_cycles = 0
         self.per_master: Dict[str, int] = {}
-        # Detail metrics, populated only through Observability.bus_transaction
-        # (never by record(): the hot path in fabric._occupy_path bypasses
-        # record() and must stay in lockstep with the non-inlined path).
-        self._arb_hist: Optional["Histogram"] = None
-        self._occupancy: Optional["TimeSeries"] = None
-
-    def attach_detail(self, histogram: "Histogram", occupancy: "TimeSeries") -> None:
-        """Back this segment's detail with registry-owned metrics."""
-        self._arb_hist = histogram
-        self._occupancy = occupancy
 
     def record(self, master: str, words: int, write: bool, timing: "TransferTiming") -> None:
         self.transactions += 1

@@ -7,22 +7,41 @@ can be inspected in any waveform viewer (GTKWave etc.):
 
 * every handshake register block traced with ``trace_hsregs=True``
   contributes its DONE_OP/DONE_RV bits;
-* every arbiter with ``trace_enabled`` contributes a per-master grant bit.
+* with a :class:`GrantRecorder` attached, every segment's arbiter
+  contributes a per-master grant bit.
 
 Usage::
 
     machine = build_machine(spec, trace_hsregs=True)
-    for segment in machine.segments.values():
-        segment.arbiter.trace_enabled = True
+    grants = machine.attach_probe(GrantRecorder())
     ... run ...
-    open("run.vcd", "w").write(vcd_from_machine(machine))
+    open("run.vcd", "w").write(vcd_from_machine(machine, grants))
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-__all__ = ["VcdWriter", "vcd_from_machine"]
+from .probe import Probe
+
+__all__ = ["GrantRecorder", "VcdWriter", "vcd_from_machine"]
+
+
+class GrantRecorder(Probe):
+    """Probe subscriber recording each arbiter's grant edges.
+
+    ``edges[arbiter]`` lists ``(cycle, master, granted?)`` in event order:
+    ``True`` on every grant, ``False`` on every release.
+    """
+
+    def __init__(self):
+        self.edges: Dict[object, List[Tuple[int, str, bool]]] = {}
+
+    def on_grant(self, arbiter, master: str, queued: bool, waited: int) -> None:
+        self.edges.setdefault(arbiter, []).append((arbiter.sim.now, master, True))
+
+    def on_release(self, arbiter, master: str) -> None:
+        self.edges.setdefault(arbiter, []).append((arbiter.sim.now, master, False))
 
 _ID_CHARS = "".join(chr(c) for c in range(33, 127))
 
@@ -119,8 +138,9 @@ class VcdWriter:
         return "\n".join(lines) + "\n"
 
 
-def vcd_from_machine(machine) -> str:
-    """Render a machine's collected traces (handshake regs, grants) as VCD."""
+def vcd_from_machine(machine, grants: Optional[GrantRecorder] = None) -> str:
+    """Render a machine's handshake-register traces and, given the
+    machine's :class:`GrantRecorder`, its arbiter grant edges as VCD."""
     writer = VcdWriter()
     for ban, block in sorted(machine.hs_blocks.items()):
         if not block.trace_enabled:
@@ -135,14 +155,11 @@ def vcd_from_machine(machine) -> str:
         writer.change(0, ids["DONE_RV"], 0)
         for time, register, value in block.trace:
             writer.change(time, ids[register], value)
+    edges = grants.edges if grants is not None else {}
     for name, segment in sorted(machine.segments.items()):
-        arbiter = segment.arbiter
-        trace = getattr(arbiter, "trace", None)
-        if not getattr(arbiter, "trace_enabled", False) or trace is None:
-            continue
         scope = "arb_%s" % name.lower()
         master_ids: Dict[str, str] = {}
-        for time, master, granted in trace:
+        for time, master, granted in edges.get(segment.arbiter, ()):
             if master not in master_ids:
                 master_ids[master] = writer.add_signal(scope, "gnt_%s" % master.lower())
                 writer.change(0, master_ids[master], 0)

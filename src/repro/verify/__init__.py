@@ -7,8 +7,8 @@ simulator (:mod:`repro.sim`) together:
   abstract both elaborations of a spec into a :class:`FabricGraph`;
   :func:`compare_graphs` reports every structural divergence as a typed
   :class:`Finding`;
-* **runtime** -- :class:`ProtocolMonitor` attaches to arbiters, segments,
-  FIFOs and bridges through the free-when-off NULL-object contract and
+* **runtime** -- :class:`ProtocolMonitor` subscribes to the probe slot of
+  every arbiter, segment, FIFO and bridge (:mod:`repro.sim.probe`) and
   asserts the bus-protocol invariants (grant one-hot, REQ-until-GNT, FIFO
   conservation/bounds, bridge forwarding conservation, transaction
   retirement) while the workload runs.
@@ -20,7 +20,7 @@ backends; the ``repro verify`` CLI verb and CI's smoke step drive it.
 from .equiv import compare_graphs
 from .findings import Finding
 from .graph import FabricGraph, SegmentNode, graph_from_design, graph_from_machine
-from .monitors import ProtocolMonitor, ProtocolViolationError, attach_monitors
+from .monitors import ProtocolMonitor, ProtocolViolationError
 from .runner import (
     SMOKE_ARCHITECTURES,
     VERIFY_ARCHITECTURES,
@@ -38,7 +38,6 @@ __all__ = [
     "compare_graphs",
     "ProtocolMonitor",
     "ProtocolViolationError",
-    "attach_monitors",
     "VERIFY_ARCHITECTURES",
     "SMOKE_ARCHITECTURES",
     "run_verify_case",

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.options import presets
 from repro.sim.bus import BusBridge, BusSegment, find_route
+from repro.sim.fabric import build_machine
 from repro.sim.kernel import Simulator
 
 
@@ -87,32 +89,43 @@ class TestBusSegment:
 
 
 class TestBusBridge:
-    def test_cross_charges_hop(self, sim):
-        a = BusSegment(sim, "a")
-        b = BusSegment(sim, "b")
-        bridge = BusBridge(sim, "bb", a, b, hop_cycles=4)
+    @staticmethod
+    def _cross_read(hop_cycles=1, disable_at=None):
+        """A-to-C shared-memory read over SPLITBA's system bridge."""
+        machine = build_machine(presets.preset("SPLITBA", 4))
+        sim = machine.sim
+        bridge = machine.bridges[0]
+        bridge.hop_cycles = hop_cycles
+        far = machine.shared_memory_of["C"]
 
-        def body():
-            yield from bridge.cross()
+        def read():
+            start = sim.now
+            yield from machine.transaction(machine.pe("A"), far, 0, 4, False)
+            return sim.now - start
 
-        sim.process(body())
+        def disable():
+            yield sim.timeout(disable_at)
+            bridge.enabled = False
+
+        process = sim.process(read())
+        if disable_at is not None:
+            sim.process(disable())
         sim.run()
-        assert sim.now == 4
+        return process, bridge
+
+    def test_bridged_transaction_charges_hop(self):
+        fast, bridge = self._cross_read(hop_cycles=1)
+        slow, _bridge = self._cross_read(hop_cycles=4)
+        assert slow.value - fast.value == 3
         assert bridge.crossings == 1
 
-    def test_disabled_bridge_refuses(self, sim):
-        a = BusSegment(sim, "a")
-        b = BusSegment(sim, "b")
-        bridge = BusBridge(sim, "bb", a, b, enabled=False)
-
-        def body():
-            yield sim.timeout(1)
-            yield from bridge.cross()
-
-        process = sim.process(body())
-        sim.run()
-        with pytest.raises(RuntimeError):
+    def test_bridge_disabled_mid_transaction_refuses(self):
+        # The route was planned over the enabled bridge; it is switched off
+        # while the master still waits for the far segment's grant.
+        process, bridge = self._cross_read(disable_at=1)
+        with pytest.raises(RuntimeError, match="disabled"):
             process.value
+        assert bridge.crossings == 0
 
     def test_other_side(self, sim):
         a = BusSegment(sim, "a")

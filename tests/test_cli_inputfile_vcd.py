@@ -9,7 +9,7 @@ from repro.options import presets
 from repro.options.inputfile import parse_option_text, render_option_text
 from repro.options.schema import OptionError
 from repro.sim.fabric import build_machine
-from repro.sim.vcd import VcdWriter, vcd_from_machine
+from repro.sim.vcd import GrantRecorder, VcdWriter, vcd_from_machine
 from repro.soc.api import SocAPI
 from repro.soc.handshake import GbaviChannel
 
@@ -141,8 +141,7 @@ class TestVcd:
 
     def test_machine_export_contains_handshake_edges(self):
         machine = build_machine(presets.preset("GBAVI", 4), trace_hsregs=True)
-        for segment in machine.segments.values():
-            segment.arbiter.trace_enabled = True
+        grants = machine.attach_probe(GrantRecorder())
         channel = GbaviChannel(SocAPI(machine, "A"), SocAPI(machine, "B"), 8)
 
         def sender():
@@ -154,7 +153,7 @@ class TestVcd:
         machine.pe("A").run(sender())
         machine.pe("B").run(receiver())
         machine.sim.run()
-        text = vcd_from_machine(machine)
+        text = vcd_from_machine(machine, grants)
         assert "done_op" in text and "done_rv" in text
         assert "gnt_mpc755_a" in text
         # The transfer produces real value changes after time zero: the

@@ -20,7 +20,7 @@ from repro.faults import RecoveryPolicy, SMOKE_SCENARIO, compile_plan, install_f
 from repro.obs import Observability
 from repro.options import presets
 from repro.sim.fabric import Machine, MachineBuilder, build_machine
-from repro.sim.kernel import KERNEL_BACKENDS, Simulator
+from repro.sim.kernel import KERNEL_BACKENDS, KERNEL_ENV, Simulator
 
 BACKENDS = list(KERNEL_BACKENDS)
 HOOKS = ["none", "tracer", "monitor", "faults", "all"]
@@ -129,7 +129,9 @@ class TestBuilderComposition:
 class TestBuildMachineBackCompat:
     """The legacy keyword entry point stays a thin wrapper of the builder."""
 
-    def test_returns_machine(self):
+    def test_returns_machine(self, monkeypatch):
+        # Pin the environment: the compiled CI step sets REPRO_SIM_KERNEL.
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
         machine = build_machine(_spec())
         assert isinstance(machine, Machine)
         assert machine.sim.kernel_name == "heap"

@@ -31,7 +31,6 @@ from repro.obs.report import (
     record_run,
 )
 from repro.obs.tracer import (
-    NULL_TRACER,
     Tracer,
     chrome_trace_events,
     iter_jsonl_records,
@@ -127,21 +126,15 @@ class TestFreeWhenOff:
             results.append((machine.sim.now, machine.sim.events_processed))
         assert results[0] == results[1]
 
-    def test_null_tracer_is_inert(self):
-        assert NULL_TRACER.enabled is False
-        NULL_TRACER.transaction("s", "m", 0, 1, 2, 4, True)
-        NULL_TRACER.hop(0, "b")
-        NULL_TRACER.fifo(0, "f", "push", 1, 1)
-        NULL_TRACER.instant(0, "l", "n")
-        assert len(NULL_TRACER) == 0
-
     def test_detached_machine_has_no_obs_hooks(self):
         machine = build_machine(presets.preset("GBAVIII", 4))
         assert machine.obs is None
         assert machine.sim.monitor_depth is False
         for segment in machine.segments.values():
-            assert segment.obs is None
-            assert segment.stats._arb_hist is None
+            assert segment.probe is None
+            assert segment.arbiter.probe is None
+        for bridge in machine.bridges:
+            assert bridge.probe is None
 
 
 class TestChromeTrace:

@@ -20,6 +20,7 @@ from repro.sim.arbiter import FCFSArbiter, RoundRobinArbiter
 from repro.sim.fabric import build_machine
 from repro.sim.fifo import HardwareFifo
 from repro.sim.kernel import Simulator
+from repro.sim.probe import subscribe
 from repro.verify import (
     VERIFY_ARCHITECTURES,
     Finding,
@@ -138,8 +139,8 @@ class _DoubleGrantArbiter(FCFSArbiter):
         master, grant, _requested_at = self._pending.pop(0)
         self.owner = master
         self.grants += 1
-        if self.monitor is not None:
-            self.monitor.on_grant(self, master, queued=True)
+        if self.probe is not None:
+            self.probe.on_grant(self, master, True, 0)
         grant.succeed(master)
 
 
@@ -149,7 +150,7 @@ class TestProtocolMonitor:
         sim = Simulator()
         arbiter = _DoubleGrantArbiter(sim, "broken")
         monitor = ProtocolMonitor()
-        monitor.watch_arbiter(arbiter)
+        subscribe(arbiter, monitor)
         arbiter.request("A")  # immediate grant, A owns the bus
         with pytest.raises(ProtocolViolationError) as excinfo:
             arbiter.request("B")  # broken dispatch grants over A
@@ -160,7 +161,7 @@ class TestProtocolMonitor:
         sim = Simulator()
         arbiter = FCFSArbiter(sim, "arb")
         monitor = ProtocolMonitor()
-        monitor.watch_arbiter(arbiter)
+        subscribe(arbiter, monitor)
         arbiter.request("A")
         grant_b = arbiter.request("B")
         arbiter.cancel("B", grant_b)  # withdrawn REQ is accounted
@@ -173,7 +174,7 @@ class TestProtocolMonitor:
         sim = Simulator()
         arbiter = FCFSArbiter(sim, "arb")
         monitor = ProtocolMonitor()
-        monitor.watch_arbiter(arbiter)
+        subscribe(arbiter, monitor)
         arbiter.request("A")
         arbiter.request("B")  # still queued when the run "ends"
         findings = monitor.finalize()
@@ -185,7 +186,7 @@ class TestProtocolMonitor:
         sim = Simulator()
         arbiter = FCFSArbiter(sim, "arb")
         monitor = ProtocolMonitor()
-        monitor.watch_arbiter(arbiter)
+        subscribe(arbiter, monitor)
         with pytest.raises(ProtocolViolationError):
             monitor.on_cancel(arbiter, "Z")
 
@@ -193,7 +194,7 @@ class TestProtocolMonitor:
         sim = Simulator()
         arbiter = FCFSArbiter(sim, "arb")
         monitor = ProtocolMonitor()
-        monitor.watch_arbiter(arbiter)
+        subscribe(arbiter, monitor)
         with pytest.raises(ProtocolViolationError):
             monitor.on_release(arbiter, "X")
 
@@ -202,17 +203,17 @@ class TestProtocolMonitor:
         fifo = HardwareFifo(sim, "F", depth_words=4)
 
         monitor = ProtocolMonitor()
-        monitor.watch_fifo(fifo)
+        subscribe(fifo, monitor)
         with pytest.raises(ProtocolViolationError, match="overflow"):
             monitor.on_fifo_push(fifo, 5)
 
         monitor = ProtocolMonitor()
-        monitor.watch_fifo(fifo)
+        subscribe(fifo, monitor)
         with pytest.raises(ProtocolViolationError, match="underflow"):
             monitor.on_fifo_pop(fifo, 1)
 
         monitor = ProtocolMonitor()
-        monitor.watch_fifo(fifo)
+        subscribe(fifo, monitor)
         # Hook claims 2 words arrived but the hardware count stayed 0.
         with pytest.raises(ProtocolViolationError, match="conservation"):
             monitor.on_fifo_push(fifo, 2)
@@ -221,7 +222,7 @@ class TestProtocolMonitor:
         sim = Simulator()
         fifo = HardwareFifo(sim, "F", depth_words=4)
         monitor = ProtocolMonitor()
-        monitor.watch_fifo(fifo)
+        subscribe(fifo, monitor)
         fifo.push([1, 2, 3])
         assert fifo.pop(2) == [1, 2]
         fifo.push([4, 5, 6])
@@ -247,7 +248,7 @@ class TestProtocolMonitor:
         bridge = machine.bridges[0]
         bridge.enabled = False
         with pytest.raises(ProtocolViolationError, match="disabled"):
-            monitor.on_bridge_cross(bridge, None)
+            monitor.on_bridge_cross(bridge, "MPC755_A")
 
     def test_bridge_conservation_checked_at_finalize(self):
         machine = build_machine(presets.preset("GBAVI", 4))
