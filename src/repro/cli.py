@@ -27,6 +27,27 @@ from .options.schema import OptionError
 __all__ = ["main"]
 
 
+def _int_at_least(minimum: int):
+    """An argparse ``type`` for integer counts: anything below ``minimum``
+    is a usage error (exit 2), never a traceback or a silent wrong answer."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < minimum:
+            raise argparse.ArgumentTypeError(
+                "expected an integer >= %d, got %r" % (minimum, text)
+            )
+        return value
+
+    return parse
+
+
+_count = _int_at_least(1)
+
+
 def _load_spec(args):
     if args.options:
         return parse_option_file(args.options)
@@ -103,6 +124,18 @@ def _run_app(machine, spec, args) -> dict:
     if args.app == "ofdm":
         from .apps.ofdm import OfdmParameters, run_ofdm
 
+        # The option-level legality rules of repro.dse.spec._normalize, so
+        # an impossible mapping is a usage error rather than a traceback.
+        if args.style == "PPA" and spec.pe_count != 4:
+            raise OptionError(
+                "--style PPA maps OFDM onto exactly 4 PEs, got %d (ppa-needs-4-pes)"
+                % spec.pe_count
+            )
+        if args.style == "FPA" and machine.global_memory is None:
+            raise OptionError(
+                "--style FPA needs a shared memory, %s has none "
+                "(fpa-needs-shared-memory); use --style PPA" % spec.name
+            )
         result = run_ofdm(machine, args.style, OfdmParameters(packets=args.packets))
         print(
             "%s OFDM %s: %.4f Mbps (%d cycles, %.2f ms)"
@@ -825,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_spec_arguments(p):
         p.add_argument("--preset", default="GBAVIII", help="bus architecture preset")
-        p.add_argument("--pes", type=int, default=4, help="processor count")
+        p.add_argument("--pes", type=_count, default=4, help="processor count")
         p.add_argument("--options", help="user-option input file (Figure 18 format)")
 
     def add_kernel_argument(p):
@@ -864,8 +897,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_arguments(simulate)
     simulate.add_argument("--app", choices=["ofdm", "mpeg2", "database"], default="ofdm")
     simulate.add_argument("--style", choices=["PPA", "FPA"], default="FPA")
-    simulate.add_argument("--packets", type=int, default=4)
-    simulate.add_argument("--frames", type=int, default=16)
+    simulate.add_argument("--packets", type=_count, default=4)
+    simulate.add_argument("--frames", type=_count, default=16)
     add_kernel_argument(simulate)
     add_ledger_arguments(simulate)
     simulate.set_defaults(func=_cmd_simulate)
@@ -876,8 +909,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_spec_arguments(trace)
     trace.add_argument("--app", choices=["ofdm", "mpeg2", "database"], default="ofdm")
     trace.add_argument("--style", choices=["PPA", "FPA"], default="FPA")
-    trace.add_argument("--packets", type=int, default=4)
-    trace.add_argument("--frames", type=int, default=16)
+    trace.add_argument("--packets", type=_count, default=4)
+    trace.add_argument("--frames", type=_count, default=16)
     trace.add_argument(
         "-o", "--out", default="trace.json", help="trace output path"
     )
@@ -897,7 +930,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("number", type=int, choices=[2, 3, 4, 5])
     stats.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=1,
         help="worker processes for independent cases (1 = run inline)",
     )
@@ -912,7 +945,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.add_argument("number", type=int, choices=[2, 3, 4, 5])
     table.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=1,
         help="worker processes for independent cases (1 = run inline)",
     )
@@ -924,8 +957,8 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="run the perf-regression harness (kernel + tables, per backend)",
     )
-    bench.add_argument("--rounds", type=int, default=3, help="timing repeats (best-of)")
-    bench.add_argument("--jobs", type=int, default=4, help="parallel runner workers")
+    bench.add_argument("--rounds", type=_count, default=3, help="timing repeats (best-of)")
+    bench.add_argument("--jobs", type=_count, default=4, help="parallel runner workers")
     bench.add_argument(
         "--smoke",
         action="store_true",
@@ -1010,11 +1043,11 @@ def build_parser() -> argparse.ArgumentParser:
         "parity check; compiled despecializes under faults, so the sweep "
         "also proves the generic-path fallback)",
     )
-    chaos.add_argument("--packets", type=int, default=4, help="OFDM packets per run")
-    chaos.add_argument("--pes", type=int, default=4, help="processor count")
+    chaos.add_argument("--packets", type=_count, default=4, help="OFDM packets per run")
+    chaos.add_argument("--pes", type=_count, default=4, help="processor count")
     chaos.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=1,
         help="worker processes for independent cases (1 = run inline)",
     )
@@ -1032,11 +1065,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="verify only the CI smoke subset (BFBA + SPLITBA)",
     )
+    from .fuzz.oracle import STRUCTURAL_EXCLUDED
+
     verify.add_argument(
         "--arch",
         action="append",
-        help="architecture to verify (repeatable; default: all supported "
-        "presets; CCBA is excluded by design, see docs/verification.md)",
+        help="architecture to verify (repeatable; default: every preset but "
+        "%s, the structurally exempt ones named by "
+        "repro.fuzz.oracle.STRUCTURAL_EXCLUDED, see docs/verification.md)"
+        % "/".join(sorted(STRUCTURAL_EXCLUDED)),
     )
     verify.add_argument(
         "--backend",
@@ -1046,8 +1083,8 @@ def build_parser() -> argparse.ArgumentParser:
         "parity check; monitors despecialize the compiled backend, so the "
         "sweep also proves the generic-path fallback)",
     )
-    verify.add_argument("--packets", type=int, default=2, help="OFDM packets per run")
-    verify.add_argument("--pes", type=int, default=4, help="processor count")
+    verify.add_argument("--packets", type=_count, default=2, help="OFDM packets per run")
+    verify.add_argument("--pes", type=_count, default=4, help="processor count")
     verify.add_argument(
         "--data-width",
         type=int,
@@ -1058,7 +1095,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=1,
         help="worker processes for independent cases (1 = run inline)",
     )
@@ -1119,14 +1156,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dse.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=1,
         help="worker processes; shards are assigned by config hash, so the "
         "frontier is identical at any --jobs value",
     )
     dse.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(0),
         help="cap the queue at the first N configs (canonical order)",
     )
     dse.add_argument(
@@ -1155,7 +1192,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--budget",
-        type=int,
+        type=_int_at_least(0),
         default=100,
         help="unique legal cases to sample and judge (default: 100)",
     )
@@ -1168,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--jobs",
-        type=int,
+        type=_count,
         default=1,
         help="worker processes; cases are sharded by content hash, so the "
         "summary fingerprint is identical at any --jobs value",

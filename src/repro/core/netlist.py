@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..hdl.ast import Instance, Module, Port, PortConnection, Range, Wire
+from ..options.schema import did_you_mean
 
 __all__ = ["NetlistError", "NetlistBuilder"]
 
@@ -31,14 +32,6 @@ EXT = "EXT"
 
 class NetlistError(ValueError):
     pass
-
-
-def _did_you_mean(name: str, candidates) -> str:
-    """`` (did you mean 'x'?)`` when a close match exists, else empty."""
-    import difflib
-
-    matches = difflib.get_close_matches(name, list(candidates), n=1)
-    return " (did you mean %r?)" % matches[0] if matches else ""
 
 
 @dataclass
@@ -127,7 +120,7 @@ class NetlistBuilder:
                     % (
                         wire_name,
                         logical,
-                        _did_you_mean(logical, self._order),
+                        did_you_mean(logical, self._order),
                         ", ".join(sorted(self._instances)) or "<none>",
                     )
                 )
@@ -142,7 +135,7 @@ class NetlistBuilder:
                         logical,
                         definition.name,
                         port,
-                        _did_you_mean(port, port_names),
+                        did_you_mean(port, port_names),
                         ", ".join(sorted(port_names)) or "<none>",
                     )
                 )

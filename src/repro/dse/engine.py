@@ -65,9 +65,9 @@ def shard_of(key: str, shards: int) -> int:
 def simulate_config(config: DseConfig, machine) -> Dict[str, Any]:
     """Run the configured workload on ``machine``; returns the metric block.
 
-    Shared by the DSE sweep rows and the fuzzer's oracle components
-    (``repro.fuzz.oracle``) so both harnesses drive the identical
-    workload for a given config.
+    Shared by the DSE sweep rows and the oracle (``repro.fuzz.oracle``,
+    which the fuzz, verify, chaos and DSE scoring harnesses run through)
+    so every harness drives the identical workload for a given config.
     """
     if config.app == "ofdm":
         from ..apps.ofdm import OfdmParameters, run_ofdm
@@ -108,19 +108,15 @@ def simulate_config(config: DseConfig, machine) -> Dict[str, Any]:
     raise ValueError("unknown app %r" % config.app)
 
 
-def _score_resilience(config: DseConfig, spec, kernel: str) -> Dict[str, Any]:
+def _score_resilience(config: DseConfig, kernel: str) -> Dict[str, Any]:
     """Chaos scoring: seeded smoke plan, recovered fraction as the score."""
-    from ..faults.injector import RecoveryPolicy, install_faults
-    from ..faults.plan import SCENARIOS, compile_plan
-    from ..sim.fabric import build_machine
+    from ..faults.plan import SMOKE_SCENARIO
+    from ..fuzz.oracle import run_case
 
-    machine = build_machine(spec, kernel=kernel)
     # None-check, not truthiness: seed 0 is a real, reproducible seed and
     # must never be conflated with "unseeded" (docs/fuzzing.md).
-    plan = compile_plan(machine, SCENARIOS["smoke"], 0 if config.seed is None else config.seed)
-    injector = install_faults(machine, plan, RecoveryPolicy())
-    simulate_config(config, machine)
-    report = injector.resilience_report()
+    seed = 0 if config.seed is None else config.seed
+    report = run_case(config, kernel, faults=(SMOKE_SCENARIO, seed)).resilience
     injected = report.injected
     return {
         "injected": injected,
@@ -130,14 +126,11 @@ def _score_resilience(config: DseConfig, spec, kernel: str) -> Dict[str, Any]:
     }
 
 
-def _score_verify(config: DseConfig, spec, kernel: str) -> Dict[str, Any]:
+def _score_verify(config: DseConfig, kernel: str) -> Dict[str, Any]:
     """Verification scoring: protocol monitors armed, findings counted."""
-    from ..sim.fabric import build_machine
+    from ..fuzz.oracle import run_case
 
-    machine = build_machine(spec, kernel=kernel)
-    monitor = machine.attach_monitors(fail_fast=False)
-    simulate_config(config, machine)
-    findings = monitor.finalize()
+    findings = run_case(config, kernel, monitors=True).protocol
     return {"findings": len(findings), "ok": not findings}
 
 
@@ -168,11 +161,11 @@ def _run_config(config: DseConfig, tool: BusSyn, kernel: str) -> Dict[str, Any]:
         "cached": False,
     }
     if config.score_resilience:
-        resilience = _score_resilience(config, build_config_spec(config), kernel)
+        resilience = _score_resilience(config, kernel)
         row["resilience"] = resilience["score"]
         row["resilience_detail"] = resilience
     if config.score_verify:
-        row["verify"] = _score_verify(config, build_config_spec(config), kernel)
+        row["verify"] = _score_verify(config, kernel)
     row["seconds"] = time.perf_counter() - start
     return row
 

@@ -33,15 +33,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..apps.ofdm import OfdmParameters, run_ofdm
-from ..options import presets
-from ..sim.fabric import build_machine
-from .injector import RecoveryPolicy, install_faults
-from .plan import SCENARIOS, compile_plan, empty_plan
+from ..fuzz.oracle import run_case, sweep_config
+from .plan import SCENARIOS
 
 __all__ = [
     "CHAOS_ARCHITECTURES",
-    "CHAOS_STYLES",
     "run_chaos_case",
     "run_chaos",
     "format_chaos_summary",
@@ -50,19 +46,6 @@ __all__ = [
 # The five generated architectures of the paper (Figures 3-7); baselines
 # (GGBA/CCBA) are reachable via --arch but not swept by default.
 CHAOS_ARCHITECTURES = ["BFBA", "GBAVI", "GBAVIII", "HYBRID", "SPLITBA"]
-
-# Programming style per architecture (BFBA/GBAVI have no shared memory, so
-# only PPA is defined for them -- same mapping as Table II).
-CHAOS_STYLES = {
-    "BFBA": "PPA",
-    "GBAVI": "PPA",
-    "GBAVII": "FPA",
-    "GBAVIII": "FPA",
-    "HYBRID": "FPA",
-    "SPLITBA": "FPA",
-    "GGBA": "FPA",
-    "CCBA": "FPA",
-}
 
 MODES = ("baseline", "empty", "faulted")
 
@@ -76,50 +59,42 @@ def run_chaos_case(
 ) -> Dict[str, Any]:
     """Run one ``(arch, style, backend, mode)`` chaos case; picklable."""
     arch, style, backend, mode = case
-    machine = build_machine(presets.preset(arch, pe_count), kernel=backend)
-    injector = None
-    monitor = None
-    if mode != "baseline":
-        if mode == "faulted":
-            plan = compile_plan(machine, SCENARIOS[scenario], seed)
-        else:
-            plan = empty_plan()
-            # The empty-plan case doubles as the protocol-assertion case:
-            # monitors are free-when-off and observe-only, so this mode must
-            # stay bit-identical to baseline *and* violation-free.  (The
-            # faulted mode deliberately breaks protocol -- e.g. withdraws
-            # grants -- so monitors only arm when no faults are planned.)
-            monitor = machine.attach_monitors(fail_fast=False)
-        injector = install_faults(machine, plan, RecoveryPolicy())
-    result = run_ofdm(machine, style, OfdmParameters(packets=packets))
+    config = sweep_config(arch, pe_count, packets, style=style)
+    # The empty-plan case doubles as the protocol-assertion case: monitors
+    # are free-when-off and observe-only, so this mode must stay
+    # bit-identical to baseline *and* violation-free.  (The faulted mode
+    # deliberately breaks protocol -- e.g. withdraws grants -- so monitors
+    # only arm when no faults are planned.)
+    run = run_case(
+        config,
+        backend,
+        monitors=mode == "empty",
+        faults={
+            "baseline": None,
+            "empty": (None, seed),
+            "faulted": (SCENARIOS[scenario], seed),
+        }[mode],
+    )
     # Run-to-quiescence swallows process failures (a dead PE is just a
     # failed, unwaited event), so an unfinished PE is the deadlock/crash
     # signal -- check it in every mode, baseline included.
-    unfinished = [
-        "%s: PE %s did not complete" % (arch, name)
-        for name, pe in sorted(machine.pes.items())
-        if pe.finished_at is None
-    ]
-    if monitor is not None:
-        unfinished += [
-            "%s: protocol %s" % (arch, finding)
-            for finding in monitor.finalize()
-        ]
+    failures = ["%s: PE %s did not complete" % (arch, name) for name in run.unfinished]
+    failures += ["%s: protocol %s" % (arch, finding) for finding in run.protocol]
     out: Dict[str, Any] = {
         "arch": arch,
         "style": style,
         "backend": backend,
         "mode": mode,
-        "cycles": result.cycles,
-        "throughput_mbps": result.throughput_mbps,
-        "bus": machine.bus_snapshot(),
-        "invariant_failures": unfinished,
+        "cycles": run.metric["cycles"],
+        "throughput_mbps": run.metric["value"],
+        "bus": run.bus,
+        "invariant_failures": failures,
     }
-    if injector is not None:
-        report = injector.resilience_report()
+    if run.resilience is not None:
+        report = run.resilience
         report.name = "%s/%s %s" % (arch, style, backend)
         out["resilience"] = report.as_dict()
-        out["invariant_failures"] = unfinished + report.check()
+        out["invariant_failures"] = failures + report.check()
     return out
 
 
@@ -141,22 +116,9 @@ def run_chaos(
             % (scenario, ", ".join(sorted(SCENARIOS)))
         )
     archs = [str(arch).upper() for arch in (archs or CHAOS_ARCHITECTURES)]
-    for arch in archs:
-        # OptionError (not KeyError at CHAOS_STYLES time): the CLI turns
-        # it into exit 2 with the candidate list, matching every other
-        # unknown-name path (core/netlist.py style).
-        if arch not in presets.PRESETS or arch not in CHAOS_STYLES:
-            from ..core.netlist import _did_you_mean
-            from ..options.schema import OptionError
-
-            known = sorted(set(presets.PRESETS) & set(CHAOS_STYLES))
-            raise OptionError(
-                "unknown architecture %r%s; known architectures: %s"
-                % (arch, _did_you_mean(arch, known), ", ".join(known))
-            )
     cases: List[Tuple[str, str, str, str]] = []
     for arch in archs:
-        style = CHAOS_STYLES[arch]
+        style = sweep_config(arch, pe_count, packets).style
         for backend in backends:
             for mode in MODES:
                 cases.append((arch, style, backend, mode))

@@ -175,8 +175,6 @@ class FaultInjector:
         obs = self.machine._obs
         if obs is not None:
             obs.tracer.fault(now, spec.site, spec.kind, "inject")
-            obs.registry.counter("faults.injected").inc()
-            obs.registry.counter("faults.injected.%s" % spec.kind).inc()
         return episode
 
     def _resolve(self, episode: dict, outcome: str) -> None:
@@ -195,9 +193,6 @@ class FaultInjector:
         obs = self.machine._obs
         if obs is not None:
             obs.tracer.fault(now, episode["site"], episode["kind"], outcome)
-            obs.registry.counter("faults.%s" % outcome).inc()
-            if outcome == "recovered":
-                obs.registry.histogram("faults.recovery_latency").observe(latency)
 
     def resilience_report(self):
         from .report import ResilienceReport

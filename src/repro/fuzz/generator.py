@@ -25,6 +25,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from ..obs.ledger import content_hash
 from ..dse.spec import DseConfig, normalize_options
+from .oracle import VERIFY_ARCHITECTURES
 
 __all__ = ["FuzzProfile", "case_key", "sample_cases"]
 
@@ -38,21 +39,13 @@ MAX_DRAW_FACTOR = 64
 class FuzzProfile:
     """The sampled design space: one value pool per dimension.
 
-    CCBA is deliberately absent from the default bus pool -- its machine
-    abstraction diverges from the generated netlist by design
-    (docs/verification.md), so the structural oracle would flag every
-    CCBA draw as a false positive.
+    The default bus pool is the oracle's swept list
+    (:data:`~repro.fuzz.oracle.VERIFY_ARCHITECTURES`): every preset but
+    the structurally exempt ones (:data:`~repro.fuzz.oracle.STRUCTURAL_EXCLUDED`,
+    CCBA -- docs/verification.md).
     """
 
-    buses: Tuple[str, ...] = (
-        "BFBA",
-        "GBAVI",
-        "GBAVII",
-        "GBAVIII",
-        "HYBRID",
-        "SPLITBA",
-        "GGBA",
-    )
+    buses: Tuple[str, ...] = VERIFY_ARCHITECTURES
     pes: Tuple[int, ...] = (1, 2, 3, 4, 6, 8)
     data_widths: Tuple[int, ...] = (32, 64, 128)
     fifo_depths: Tuple[int, ...] = (4, 16, 64, 256, 1024)

@@ -1,11 +1,20 @@
-"""The composed oracle: four independent checks on one sampled config.
+"""The oracle: the one place a case is built, armed, run and judged.
 
-Each fuzz case is judged by every harness the repo has grown, composed
-into one verdict:
+:func:`run_case` builds the machine for a :class:`DseConfig`, arms
+protocol monitors and/or a fault plan when asked, runs the configured
+workload (:func:`repro.dse.engine.simulate_config`) and returns what the
+run left behind.  Every harness judges through it and the checks below:
+``repro fuzz`` (:func:`evaluate_case`), ``repro verify``
+(:mod:`repro.verify.runner`), ``repro chaos`` (:mod:`repro.faults.chaos`)
+and the DSE resilience/verify scores (:mod:`repro.dse.engine`).
+
+A fuzz case is judged by four independent checks, composed into one
+verdict:
 
 * ``structural`` -- generate the Verilog bus system and require the
   netlist and simulation-machine :class:`FabricGraph` abstractions to be
-  equivalent (:func:`repro.verify.equiv.compare_graphs`);
+  equivalent (:func:`repro.verify.equiv.compare_graphs`); architectures in
+  :data:`STRUCTURAL_EXCLUDED` skip it;
 * ``protocol`` -- run the workload with
   :class:`~repro.verify.monitors.ProtocolMonitor` armed on every
   arbiter/segment/FIFO/bridge; any protocol finding, unfinished PE, or
@@ -29,18 +38,28 @@ the DSE artifact store (kind ``"fuzz"``, keyed by case hash +
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.busyn import BusSyn
 from ..dse.engine import simulate_config
-from ..dse.spec import DseConfig, build_config_spec
+from ..dse.spec import DEFAULT_STYLE, DseConfig, build_config_spec, normalize_options
 from ..obs.ledger import content_hash
+from ..options import presets
+from ..options.schema import OptionError
 from ..sim.kernel import KERNEL_BACKENDS
 
 __all__ = [
     "ORACLE_VERSION",
     "ORACLE_CHECKS",
     "PARITY_BACKENDS",
+    "STRUCTURAL_EXCLUDED",
+    "VERIFY_ARCHITECTURES",
+    "CaseRun",
+    "sweep_config",
+    "run_case",
+    "protocol_findings",
+    "tenure_findings",
     "oracle_cache_key",
     "run_fingerprint",
     "evaluate_case",
@@ -61,7 +80,118 @@ PARITY_BACKENDS = tuple(KERNEL_BACKENDS)
 
 #: Architectures whose netlist <-> machine structural comparison is a
 #: documented modelled divergence, not a bug (docs/verification.md).
+#: The one exemption: the ``repro verify`` default sweep and the fuzz bus
+#: pool leave them out, and :func:`evaluate_case` skips their structural
+#: check.  An explicit ``repro verify --arch`` still reports the findings.
 STRUCTURAL_EXCLUDED = frozenset(["CCBA"])
+
+#: Every architecture the oracles sweep by default -- the ``repro verify``
+#: matrix and the fuzz bus pool -- in the style table's order.
+VERIFY_ARCHITECTURES = tuple(
+    arch for arch in DEFAULT_STYLE if arch not in STRUCTURAL_EXCLUDED
+)
+
+
+@dataclass
+class CaseRun:
+    """What one :func:`run_case` left behind."""
+
+    metric: Dict[str, Any]
+    #: :meth:`~repro.sim.fabric.Machine.bus_snapshot` after the run.
+    bus: Dict[str, Dict[str, int]]
+    #: Simulated cycle the kernel stopped at.
+    sim_now: int
+    #: PE name -> finish cycle, ``None`` for a PE that never finished.
+    finished: Dict[str, Optional[int]]
+    #: The armed :class:`~repro.verify.monitors.ProtocolMonitor`, if any.
+    monitor: Any = None
+    #: ``monitor.finalize()`` rendered as strings (empty when unmonitored).
+    protocol: Tuple[str, ...] = ()
+    #: The :class:`~repro.faults.report.ResilienceReport`, if faults were armed.
+    resilience: Any = None
+
+    @property
+    def unfinished(self) -> List[str]:
+        """Names of the PEs that did not complete, name-sorted."""
+        return [name for name, at in sorted(self.finished.items()) if at is None]
+
+
+def sweep_config(
+    arch: str,
+    pe_count: int,
+    packets: int,
+    data_width: Optional[int] = None,
+    style: str = "auto",
+) -> DseConfig:
+    """The OFDM config a verify or chaos sweep runs for ``arch``.
+
+    Goes through :func:`~repro.dse.spec.normalize_options`, so ``"auto"``
+    is the architecture's default style
+    (:data:`~repro.dse.spec.DEFAULT_STYLE`) and an illegal case raises
+    :class:`OptionError` (exit 2 in the CLI) instead of failing inside a
+    worker.
+    """
+    raw: Dict[str, Any] = {
+        "bus": presets.preset_name(arch),
+        "pes": pe_count,
+        "packets": packets,
+        "style": style,
+    }
+    if data_width is not None:
+        raw["data_width"] = data_width
+    config, reason = normalize_options(raw)
+    if config is None:
+        raise OptionError(
+            "%s with pes=%d packets=%d%s is not a legal case (%s)"
+            % (
+                raw["bus"],
+                pe_count,
+                packets,
+                "" if data_width is None else " data_width=%d" % data_width,
+                reason,
+            )
+        )
+    return config
+
+
+def run_case(
+    config: DseConfig,
+    kernel: str,
+    monitors: bool = False,
+    faults: Optional[Tuple[Any, int]] = None,
+) -> CaseRun:
+    """Build ``config``'s machine on ``kernel``, arm it, run it.
+
+    ``monitors`` attaches a :class:`~repro.verify.monitors.ProtocolMonitor`
+    (``fail_fast=False``).  ``faults`` is ``(scenario, seed)``: the
+    :class:`~repro.faults.plan.ChaosScenario` is compiled against the
+    machine and installed with the default recovery policy; a ``None``
+    scenario installs the empty plan.  Errors propagate to the caller.
+    """
+    from ..sim.fabric import build_machine
+
+    machine = build_machine(build_config_spec(config), kernel=kernel)
+    monitor = machine.attach_monitors(fail_fast=False) if monitors else None
+    injector = None
+    if faults is not None:
+        from ..faults.injector import RecoveryPolicy, install_faults
+        from ..faults.plan import compile_plan, empty_plan
+
+        scenario, seed = faults
+        plan = empty_plan() if scenario is None else compile_plan(machine, scenario, seed)
+        injector = install_faults(machine, plan, RecoveryPolicy())
+    metric = simulate_config(config, machine)
+    return CaseRun(
+        metric=metric,
+        bus=machine.bus_snapshot(),
+        sim_now=machine.sim.now,
+        finished={name: pe.finished_at for name, pe in machine.pes.items()},
+        monitor=monitor,
+        protocol=(
+            () if monitor is None else tuple(str(finding) for finding in monitor.finalize())
+        ),
+        resilience=None if injector is None else injector.resilience_report(),
+    )
 
 
 def oracle_cache_key(case: Dict[str, Any]) -> str:
@@ -81,25 +211,22 @@ def oracle_cache_key(case: Dict[str, Any]) -> str:
     )
 
 
-def run_fingerprint(config: DseConfig, machine, metric: Dict[str, Any]) -> str:
+def run_fingerprint(run: CaseRun) -> str:
     """Deterministic fingerprint of one finished run.
 
     Hashes the simulated-cycle count, the workload metric, per-PE finish
-    cycles and the per-segment bus counts
-    (:meth:`~repro.sim.fabric.Machine.bus_snapshot`) -- everything the
+    cycles and the per-segment bus counts -- everything the
     backend-parity suite guarantees bit-identical across heap/compiled,
     and nothing wall-clock.
     """
     return content_hash(
         {
-            "cycles": metric["cycles"],
-            "metric_name": metric["name"],
-            "metric_value": metric["value"],
-            "sim_now": machine.sim.now,
-            "pe_finish": {
-                name: pe.finished_at for name, pe in sorted(machine.pes.items())
-            },
-            "bus": machine.bus_snapshot(),
+            "cycles": run.metric["cycles"],
+            "metric_name": run.metric["name"],
+            "metric_value": run.metric["value"],
+            "sim_now": run.sim_now,
+            "pe_finish": run.finished,
+            "bus": run.bus,
         }
     )
 
@@ -108,13 +235,40 @@ def _findings_from_error(error: BaseException) -> List[str]:
     return ["exception: %s: %s" % (type(error).__name__, error)]
 
 
+def _unfinished_pes(run: CaseRun) -> List[str]:
+    return ["PE %s did not complete" % name for name in run.unfinished]
+
+
+def protocol_findings(run: CaseRun, baseline_cycles: int) -> List[str]:
+    """A monitored run's verdict against its bare twin's cycle count.
+
+    Monitors are observe-only, so any protocol finding, unfinished PE or
+    change of cycle count fails.
+    """
+    findings = list(run.protocol) + _unfinished_pes(run)
+    if run.metric["cycles"] != baseline_cycles:
+        findings.append(
+            "monitors perturbed the run (%d cycles != baseline %d)"
+            % (run.metric["cycles"], baseline_cycles)
+        )
+    return findings
+
+
+def tenure_findings(run: CaseRun) -> List[str]:
+    """Fault-free runs retire exactly one tenure per arbiter grant."""
+    return [
+        "%s: %d retired tenures != %d arbiter grants"
+        % (name, counts["transactions"], counts["grants"])
+        for name, counts in run.bus.items()
+        if counts["transactions"] != counts["grants"]
+    ]
+
+
 def _check_structural(config: DseConfig, tool: BusSyn) -> List[str]:
     from ..sim.fabric import build_machine
     from ..verify.equiv import compare_graphs
     from ..verify.graph import graph_from_design, graph_from_machine
 
-    if config.bus in STRUCTURAL_EXCLUDED:
-        return []
     spec = build_config_spec(config)
     generated = tool.generate(spec)
     return [
@@ -126,73 +280,41 @@ def _check_structural(config: DseConfig, tool: BusSyn) -> List[str]:
     ]
 
 
-def _unfinished_pes(machine) -> List[str]:
-    return [
-        "PE %s did not complete" % name
-        for name, pe in sorted(machine.pes.items())
-        if pe.finished_at is None
-    ]
-
-
 def _check_protocol(
     config: DseConfig, kernel: str, baseline_cycles: Optional[int] = None
 ) -> List[str]:
-    from ..sim.fabric import build_machine
-
-    spec = build_config_spec(config)
     if baseline_cycles is None:
         # Normally the parity check's run for this kernel is the baseline
         # (monitors are free-when-off); only a parity-stage error forces a
         # dedicated bare run here.
-        bare = build_machine(spec, kernel=kernel)
-        baseline_cycles = simulate_config(config, bare)["cycles"]
-
-    monitored = build_machine(spec, kernel=kernel)
-    monitor = monitored.attach_monitors(fail_fast=False)
-    metric = simulate_config(config, monitored)
-    findings = [str(finding) for finding in monitor.finalize()]
-    findings.extend(_unfinished_pes(monitored))
-    if metric["cycles"] != baseline_cycles:
-        findings.append(
-            "monitors perturbed the run (%d cycles != baseline %d)"
-            % (metric["cycles"], baseline_cycles)
-        )
-    return findings
+        baseline_cycles = run_case(config, kernel).metric["cycles"]
+    return protocol_findings(run_case(config, kernel, monitors=True), baseline_cycles)
 
 
 def _check_resilience(
     config: DseConfig, fault_seed: int, fault_scale: int, kernel: str
 ) -> List[str]:
-    from ..faults.injector import RecoveryPolicy, install_faults
-    from ..faults.plan import SMOKE_SCENARIO, compile_plan
-    from ..sim.fabric import build_machine
+    from ..faults.plan import SMOKE_SCENARIO
 
     if fault_scale <= 0:
         return []
     scenario = (
         SMOKE_SCENARIO if fault_scale == 1 else SMOKE_SCENARIO.scaled(fault_scale)
     )
-    machine = build_machine(build_config_spec(config), kernel=kernel)
-    plan = compile_plan(machine, scenario, fault_seed)
-    injector = install_faults(machine, plan, RecoveryPolicy())
-    simulate_config(config, machine)
-    report = injector.resilience_report()
-    report.name = config.label()
-    return report.check() + _unfinished_pes(machine)
+    run = run_case(config, kernel, faults=(scenario, fault_seed))
+    run.resilience.name = config.label()
+    return run.resilience.check() + _unfinished_pes(run)
 
 
 def _check_parity(config: DseConfig) -> Dict[str, Any]:
-    from ..sim.fabric import build_machine
-
     fingerprints: Dict[str, str] = {}
     cycles: Dict[str, int] = {}
     findings: List[str] = []
     for backend in PARITY_BACKENDS:
         try:
-            machine = build_machine(build_config_spec(config), kernel=backend)
-            metric = simulate_config(config, machine)
-            fingerprints[backend] = run_fingerprint(config, machine, metric)
-            cycles[backend] = metric["cycles"]
+            run = run_case(config, backend)
+            fingerprints[backend] = run_fingerprint(run)
+            cycles[backend] = run.metric["cycles"]
         except Exception as error:  # noqa: BLE001 -- deterministic finding
             fingerprints[backend] = None
             findings.extend(
@@ -223,7 +345,9 @@ def evaluate_case(
     checks: Dict[str, List[str]] = {}
 
     try:
-        checks["structural"] = _check_structural(config, tool)
+        checks["structural"] = (
+            [] if config.bus in STRUCTURAL_EXCLUDED else _check_structural(config, tool)
+        )
     except Exception as error:  # noqa: BLE001 -- deterministic finding
         checks["structural"] = _findings_from_error(error)
     try:

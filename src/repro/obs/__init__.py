@@ -6,9 +6,9 @@ Three pillars (see docs/observability.md for the user-facing guide):
   bus transaction's lifecycle (request -> arbitration grant -> data tenure
   -> completion, plus bridge hops and FIFO fill levels), with exporters to
   Chrome ``trace_event`` JSON (Perfetto / ``chrome://tracing``) and JSONL.
-* :mod:`repro.obs.metrics` -- a metrics registry of counters, gauges,
-  fixed-bucket cycle histograms and occupancy time series that backs the
-  per-segment :class:`repro.sim.stats.BusStats` detail.
+* :mod:`repro.obs.metrics` -- a metrics registry of fixed-bucket cycle
+  histograms and occupancy time series that backs the per-segment
+  :class:`repro.sim.stats.BusStats` detail.
 * :mod:`repro.obs.report` -- structured :class:`RunReport` telemetry for
   every experiment case and benchmark run, with deterministic aggregation
   across parallel workers.
@@ -29,8 +29,6 @@ from ..sim.bus import BusSegment
 from ..sim.probe import Probe
 from .metrics import (
     DEFAULT_CYCLE_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeSeries,
@@ -57,8 +55,6 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
-    "Counter",
-    "Gauge",
     "Histogram",
     "TimeSeries",
     "MetricsRegistry",

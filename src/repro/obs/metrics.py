@@ -1,15 +1,13 @@
-"""Metrics registry: counters, gauges, cycle histograms, time series.
+"""Metrics registry: cycle histograms and time series.
 
 The registry is the quantitative half of the observability layer: where
-the tracer answers "what happened when", the registry answers "how much
-and how it was distributed".  It backs the per-segment detail of
+the tracer answers "what happened when", the registry answers "how it was
+distributed".  It backs the per-segment detail of
 :class:`repro.sim.stats.BusStats` (percentile arbitration wait, occupancy
 over time) without changing the stats objects' ``as_dict()`` surface.
-
-All metric types are mergeable (``merge``) so per-worker measurements from
-the parallel experiment runner aggregate deterministically: integer
-counts sum exactly, histograms require identical bucket layouts, and
-``as_dict()`` output is name-sorted.
+Counts live in one place each -- bus tenures in ``BusStats``, fault
+outcomes in the :class:`~repro.faults.report.ResilienceReport` -- so the
+registry holds no counters.  ``as_dict()`` output is name-sorted.
 """
 
 from __future__ import annotations
@@ -18,8 +16,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "DEFAULT_CYCLE_BUCKETS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "TimeSeries",
     "MetricsRegistry",
@@ -32,52 +28,6 @@ __all__ = [
 DEFAULT_CYCLE_BUCKETS: Tuple[int, ...] = (
     0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192,
 )
-
-
-class Counter:
-    """A monotonically increasing integer."""
-
-    __slots__ = ("name", "value")
-
-    kind = "counter"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "value": self.value}
-
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
-
-class Gauge:
-    """A point-in-time value; tracks the maximum it has ever held."""
-
-    __slots__ = ("name", "value", "max_value")
-
-    kind = "gauge"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-        self.max_value = 0
-
-    def set(self, value) -> None:
-        self.value = value
-        if value > self.max_value:
-            self.max_value = value
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "value": self.value, "max": self.max_value}
-
-    def merge(self, other: "Gauge") -> None:
-        self.value = max(self.value, other.value)
-        self.max_value = max(self.max_value, other.max_value)
 
 
 class Histogram:
@@ -153,29 +103,6 @@ class Histogram:
             "p99": self.percentile(99),
         }
 
-    def merge(self, other: "Histogram") -> None:
-        if self.buckets != other.buckets:
-            raise ValueError(
-                "cannot merge histograms with different buckets (%s vs %s)"
-                % (self.name, other.name)
-            )
-        for index, count in enumerate(other.counts):
-            self.counts[index] += count
-        self.count += other.count
-        self.total += other.total
-        if other.min_value is not None:
-            self.min_value = (
-                other.min_value
-                if self.min_value is None
-                else min(self.min_value, other.min_value)
-            )
-        if other.max_value is not None:
-            self.max_value = (
-                other.max_value
-                if self.max_value is None
-                else max(self.max_value, other.max_value)
-            )
-
 
 class TimeSeries:
     """Cycles-of-activity bucketed into fixed windows of simulated time.
@@ -235,15 +162,6 @@ class TimeSeries:
             "peak_fraction": self.peak(),
         }
 
-    def merge(self, other: "TimeSeries") -> None:
-        if self.window != other.window:
-            raise ValueError(
-                "cannot merge series with different windows (%s vs %s)"
-                % (self.name, other.name)
-            )
-        for index, busy in other.bins.items():
-            self.bins[index] = self.bins.get(index, 0) + busy
-
 
 class MetricsRegistry:
     """Named metrics, created on first use, exported name-sorted."""
@@ -256,18 +174,6 @@ class MetricsRegistry:
         if metric is None:
             metric = factory()
             self._metrics[name] = metric
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        metric = self._get_or_create(name, lambda: Counter(name))
-        if not isinstance(metric, Counter):
-            raise TypeError("%r is a %s, not a counter" % (name, metric.kind))
-        return metric
-
-    def gauge(self, name: str) -> Gauge:
-        metric = self._get_or_create(name, lambda: Gauge(name))
-        if not isinstance(metric, Gauge):
-            raise TypeError("%r is a %s, not a gauge" % (name, metric.kind))
         return metric
 
     def histogram(
@@ -296,17 +202,3 @@ class MetricsRegistry:
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
         return {name: self._metrics[name].as_dict() for name in sorted(self._metrics)}
 
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in; same-named metrics must be same-typed."""
-        for name in other.names():
-            theirs = other.get(name)
-            mine = self._metrics.get(name)
-            if mine is None:
-                self._metrics[name] = theirs
-            else:
-                if type(mine) is not type(theirs):
-                    raise TypeError(
-                        "metric %r type mismatch: %s vs %s"
-                        % (name, mine.kind, theirs.kind)
-                    )
-                mine.merge(theirs)

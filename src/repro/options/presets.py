@@ -20,6 +20,7 @@ from .schema import (
     BusSystemSpec,
     MemorySpec,
     OptionError,
+    did_you_mean,
 )
 
 __all__ = [
@@ -33,6 +34,7 @@ __all__ = [
     "ggba",
     "ccba",
     "preset",
+    "preset_name",
     "PRESETS",
 ]
 
@@ -279,12 +281,19 @@ PRESETS = {
 }
 
 
+def preset_name(name: str) -> str:
+    """The canonical (upper-case) preset name, or an :class:`OptionError`
+    naming the closest match and every known architecture."""
+    key = str(name).upper()
+    if key not in PRESETS:
+        known = sorted(PRESETS)
+        raise OptionError(
+            "unknown architecture %r%s; known architectures: %s"
+            % (name, did_you_mean(key, known), ", ".join(known))
+        )
+    return key
+
+
 def preset(name: str, pe_count: int = 4, **kwargs) -> BusSystemSpec:
     """Build a preset Bus System by name (case-insensitive)."""
-    try:
-        builder = PRESETS[name.upper()]
-    except KeyError:
-        raise OptionError(
-            "unknown preset %r (expected one of %s)" % (name, ", ".join(sorted(PRESETS)))
-        )
-    return builder(pe_count, **kwargs)
+    return PRESETS[preset_name(name)](pe_count, **kwargs)

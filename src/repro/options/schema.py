@@ -23,6 +23,7 @@ from typing import List, Optional, Tuple
 
 __all__ = [
     "OptionError",
+    "did_you_mean",
     "MemorySpec",
     "BANSpec",
     "BusSpec",
@@ -45,6 +46,14 @@ MEMORY_TYPES = ("NONE", "SRAM", "DRAM", "DPRAM", "FIFO")
 
 class OptionError(ValueError):
     """An illegal combination of user options."""
+
+
+def did_you_mean(name: str, candidates) -> str:
+    """`` (did you mean 'x'?)`` when a close match exists, else empty."""
+    import difflib
+
+    matches = difflib.get_close_matches(name, list(candidates), n=1)
+    return " (did you mean %r?)" % matches[0] if matches else ""
 
 
 @dataclass

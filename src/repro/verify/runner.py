@@ -1,15 +1,16 @@
 """The ``repro verify`` sweep: structural equivalence + monitored runs.
 
-For every architecture under test this runs, per scheduler backend:
+For every architecture under test this runs, per scheduler backend,
+through the oracle (:mod:`repro.fuzz.oracle`):
 
 1. **structural** -- generate the Verilog bus system, abstract both the
    netlist and the simulation machine into :class:`FabricGraph`\\ s, and
-   compare them (:func:`repro.verify.equiv.compare_graphs`);
+   compare them (the oracle's structural check);
 2. **runtime** -- run the OFDM workload twice, once bare and once with
    :class:`~repro.verify.monitors.ProtocolMonitor` attached to every
    arbiter/segment/FIFO/bridge, and require (a) zero protocol findings
-   and (b) cycle-identical results, proving the monitors observe without
-   perturbing (the free-when-off contract);
+   and every PE finished and (b) cycle-identical results, proving the
+   monitors observe without perturbing (the free-when-off contract);
 
 then asserts backend parity on cycle counts and on the per-segment bus
 counts carried by every case row (the bare run's
@@ -19,23 +20,27 @@ exactly one arbiter grant).  Cases fan out over the parallel experiment
 runner, so ``repro verify --jobs N`` sweeps architectures concurrently
 with deterministic results.
 
-CCBA is deliberately excluded: its machine abstraction flattens every
-BAN's memory onto one processor local bus while the generated netlist
-keeps the per-BAN structure, a modelled divergence documented in
-docs/verification.md.
+The default sweep is :data:`~repro.fuzz.oracle.VERIFY_ARCHITECTURES`:
+every preset but those in :data:`~repro.fuzz.oracle.STRUCTURAL_EXCLUDED`
+(CCBA, whose machine abstraction flattens every BAN's memory onto one
+processor local bus while the generated netlist keeps the per-BAN
+structure -- docs/verification.md).  ``--arch CCBA`` still runs it and
+reports its structural findings.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..apps.ofdm import OfdmParameters, run_ofdm
 from ..core.busyn import BusSyn
-from ..faults.chaos import CHAOS_STYLES
-from ..options import presets
-from ..sim.fabric import build_machine
-from .equiv import compare_graphs
-from .graph import graph_from_design, graph_from_machine
+from ..fuzz.oracle import (
+    VERIFY_ARCHITECTURES,
+    _check_structural,
+    protocol_findings,
+    run_case,
+    sweep_config,
+    tenure_findings,
+)
 
 __all__ = [
     "VERIFY_ARCHITECTURES",
@@ -43,17 +48,6 @@ __all__ = [
     "run_verify_case",
     "run_verify",
     "format_verify_summary",
-]
-
-# Every preset whose machine and netlist elaborate the same structure.
-VERIFY_ARCHITECTURES = [
-    "BFBA",
-    "GBAVI",
-    "GBAVII",
-    "GBAVIII",
-    "HYBRID",
-    "SPLITBA",
-    "GGBA",
 ]
 
 # CI's quick pass: one distributed-memory and one shared-memory family
@@ -70,61 +64,23 @@ def run_verify_case(
 ) -> Dict[str, Any]:
     """Run one ``(arch, backend)`` verification case; picklable."""
     arch, backend = case
-    style = CHAOS_STYLES.get(arch, "PPA")
-    spec = presets.preset(arch, pe_count)
-    if data_width is not None:
-        # Same width-axis application as the DSE sweep's
-        # build_config_spec: the option lands on every bus and memory.
-        for subsystem in spec.subsystems:
-            for bus in subsystem.buses:
-                bus.data_width = data_width
-            for ban in subsystem.bans:
-                for memory in ban.memories:
-                    memory.data_width = data_width
-        spec.validate()
-
-    generated = BusSyn().generate(spec)
-    structural = [
-        str(finding)
-        for finding in compare_graphs(
-            graph_from_design(generated.design()),
-            graph_from_machine(build_machine(spec, kernel=backend)),
-        )
-    ]
-
-    bare_machine = build_machine(spec, kernel=backend)
-    baseline = run_ofdm(bare_machine, style, OfdmParameters(packets=packets))
-    bus = bare_machine.bus_snapshot()
-    # Fault-free sweep: every retired tenure is exactly one arbiter grant.
-    tenure_findings = [
-        "%s: %d retired tenures != %d arbiter grants"
-        % (name, counts["transactions"], counts["grants"])
-        for name, counts in bus.items()
-        if counts["transactions"] != counts["grants"]
-    ]
-
-    monitored_machine = build_machine(spec, kernel=backend)
-    monitor = monitored_machine.attach_monitors(fail_fast=False)
-    monitored = run_ofdm(monitored_machine, style, OfdmParameters(packets=packets))
-    runtime = [str(finding) for finding in monitor.finalize()]
-    if monitored.cycles != baseline.cycles:
-        runtime.append(
-            "%s/%s: monitors perturbed the run (%d cycles != baseline %d)"
-            % (arch, backend, monitored.cycles, baseline.cycles)
-        )
-
+    config = sweep_config(arch, pe_count, packets, data_width)
+    structural = _check_structural(config, BusSyn())
+    bare = run_case(config, backend)
+    monitored = run_case(config, backend, monitors=True)
     return {
         "arch": arch,
-        "style": style,
+        "style": config.style,
         "backend": backend,
-        "cycles": baseline.cycles,
-        "monitored_cycles": monitored.cycles,
-        "throughput_mbps": baseline.throughput_mbps,
-        "grants": monitor.grants_observed,
-        "transfers": monitor.transfers_opened,
-        "bus": bus,
+        "cycles": bare.metric["cycles"],
+        "monitored_cycles": monitored.metric["cycles"],
+        "throughput_mbps": bare.metric["value"],
+        "grants": monitored.monitor.grants_observed,
+        "transfers": monitored.monitor.transfers_opened,
+        "bus": bare.bus,
         "structural_findings": structural,
-        "runtime_findings": runtime + tenure_findings,
+        "runtime_findings": protocol_findings(monitored, bare.metric["cycles"])
+        + tenure_findings(bare),
     }
 
 
@@ -141,17 +97,7 @@ def run_verify(
 
     archs = [str(arch).upper() for arch in (archs or VERIFY_ARCHITECTURES)]
     for arch in archs:
-        if arch not in presets.PRESETS:
-            # OptionError -> exit 2 in the CLI, with the did-you-mean
-            # candidate list (core/netlist.py style), not a traceback.
-            from ..core.netlist import _did_you_mean
-            from ..options.schema import OptionError
-
-            known = sorted(presets.PRESETS)
-            raise OptionError(
-                "unknown architecture %r%s; known architectures: %s"
-                % (arch, _did_you_mean(arch, known), ", ".join(known))
-            )
+        sweep_config(arch, pe_count, packets, data_width)
     cases = [(arch, backend) for arch in archs for backend in backends]
     results, _telemetry = run_cases(
         run_verify_case,

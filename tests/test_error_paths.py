@@ -190,3 +190,42 @@ class TestCliExits:
         assert "heap/compiled" in lines[0]
         assert "'wheel'" in lines[0]
         assert captured.out == ""
+
+
+# Malformed counts and impossible combinations: a usage error (exit 2, one
+# "error" line on stderr), never a traceback or a silently wrong answer.
+MALFORMED_ARGV = [
+    pytest.param(["simulate", "--packets", "-1"], id="simulate-negative-packets"),
+    pytest.param(["simulate", "--pes", "0"], id="simulate-zero-pes"),
+    pytest.param(["simulate", "--app", "mpeg2", "--frames", "0"], id="simulate-zero-frames"),
+    pytest.param(
+        ["simulate", "--preset", "BFBA", "--style", "PPA", "--pes", "2"],
+        id="simulate-ppa-on-2-pes",
+    ),
+    pytest.param(["simulate", "--preset", "BFBA"], id="simulate-fpa-without-shared-memory"),
+    pytest.param(
+        ["trace", "--preset", "GBAVIII", "--style", "PPA", "--pes", "8"],
+        id="trace-ppa-on-8-pes",
+    ),
+    pytest.param(["verify", "--arch", "BFBA", "--pes", "0"], id="verify-zero-pes"),
+    pytest.param(["verify", "--arch", "BFBA", "--data-width", "7"], id="verify-width-7"),
+    pytest.param(["verify", "--jobs", "-2"], id="verify-negative-jobs"),
+    pytest.param(["chaos", "--arch", "BFBA", "--pes", "1"], id="chaos-ppa-on-1-pe"),
+    pytest.param(["chaos", "--packets", "0"], id="chaos-zero-packets"),
+    pytest.param(["table", "2", "--jobs", "0"], id="table-zero-jobs"),
+    pytest.param(["bench", "--rounds", "0"], id="bench-zero-rounds"),
+    pytest.param(["fuzz", "--budget", "-5"], id="fuzz-negative-budget"),
+    pytest.param(["dse", "--budget", "-1"], id="dse-negative-budget"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED_ARGV)
+def test_malformed_counts_and_combinations_exit_2(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as usage_error:  # argparse rejects bad counts itself
+        code = usage_error.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error" in err
+    assert "Traceback" not in err

@@ -6,6 +6,7 @@ withdrawal, backend parity -- plus the ``repro chaos`` CLI verb.
 """
 
 import json
+import os
 
 import pytest
 
@@ -25,6 +26,8 @@ from repro.faults import (
 from repro.faults.chaos import run_chaos, run_chaos_case
 from repro.options import presets
 from repro.sim.fabric import build_machine
+
+SWEEP_PINS_PATH = os.path.join(os.path.dirname(__file__), "data", "sweep_pins.json")
 
 
 def _machine(arch="GBAVIII", pes=2, kernel="heap"):
@@ -250,6 +253,11 @@ class TestChaosInvariants:
         summary = run_chaos(seed=0, scenario="smoke", packets=2, jobs=1)
         assert summary["failures"] == []
         assert summary["ok"]
+        # Every row, bus count and resilience dict as recorded before chaos
+        # ran through the shared oracle (tests/data/sweep_pins.json).
+        with open(SWEEP_PINS_PATH) as handle:
+            pin = json.load(handle)["chaos_smoke_seed0_packets2"]
+        assert json.loads(json.dumps(summary)) == pin
         for row in summary["cases"]:
             if row["mode"] == "faulted":
                 resilience = row["resilience"]

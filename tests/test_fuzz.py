@@ -517,7 +517,7 @@ class TestCli:
         assert "did you mean 'SPLITBA'" in err
 
     def test_chaos_gbavii_is_reachable(self):
-        # GBAVII used to KeyError out of CHAOS_STYLES before the sweep
+        # GBAVII used to KeyError out of the chaos style table before the sweep
         # even started; a smoke-size run must now work end to end.
         code = main(
             [

@@ -15,14 +15,7 @@ import pytest
 
 from repro.apps.ofdm import OfdmParameters, run_ofdm
 from repro.obs import Observability
-from repro.obs.metrics import (
-    DEFAULT_CYCLE_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    TimeSeries,
-)
+from repro.obs.metrics import Histogram, MetricsRegistry, TimeSeries
 from repro.obs.report import (
     RunReport,
     aggregate_run_reports,
@@ -211,20 +204,6 @@ class TestChromeTrace:
 
 
 class TestMetrics:
-    def test_counter_and_gauge(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        other = Counter("c")
-        other.inc(2)
-        counter.merge(other)
-        assert counter.as_dict() == {"kind": "counter", "value": 7}
-        gauge = Gauge("g")
-        gauge.set(3)
-        gauge.set(1)
-        assert (gauge.value, gauge.max_value) == (1, 3)
-
     def test_histogram_percentiles_capped_at_max(self):
         hist = Histogram("h")
         for value in (1, 1, 2, 3, 100):
@@ -236,19 +215,13 @@ class TestMetrics:
         assert hist.percentile(99) == 100.0
         assert hist.percentile(0) == 0.0 or hist.percentile(0) <= 1.0
 
-    def test_histogram_overflow_and_merge(self):
+    def test_histogram_overflow_bucket(self):
         hist = Histogram("h", buckets=(0, 10))
         hist.observe(5)
         hist.observe(50_000)
         assert hist.counts[-1] == 1
         assert hist.percentile(100) == 50_000.0
-        other = Histogram("h", buckets=(0, 10))
-        other.observe(3)
-        hist.merge(other)
-        assert hist.count == 3
-        assert hist.min_value == 3
-        with pytest.raises(ValueError):
-            hist.merge(Histogram("x", buckets=(0, 99)))
+        assert (hist.min_value, hist.max_value) == (5, 50_000)
         with pytest.raises(ValueError):
             Histogram("bad", buckets=(5, 2))
 
@@ -257,35 +230,20 @@ class TestMetrics:
         series.add(5, 25)  # 5 cycles in window 0, 10 in window 1, 5 in window 2
         assert series.series() == [(0, 5, 0.5), (10, 10, 1.0), (20, 5, 0.5)]
         assert series.peak() == 1.0
-        other = TimeSeries("t", window=10)
-        other.add(0, 5)
-        series.merge(other)
-        assert series.series()[0] == (0, 10, 1.0)
         with pytest.raises(ValueError):
-            series.merge(TimeSeries("x", window=7))
+            TimeSeries("x", window=0)
 
     def test_registry_type_checks_and_sorted_export(self):
         registry = MetricsRegistry()
-        registry.counter("z.count").inc()
-        registry.histogram("a.wait").observe(2)
-        registry.gauge("m.depth").set(4)
+        registry.histogram("z.wait").observe(2)
         registry.time_series("q.occ", window=64).add(0, 10)
-        assert registry.names() == ["a.wait", "m.depth", "q.occ", "z.count"]
+        registry.histogram("a.wait").observe(1)
+        assert registry.names() == ["a.wait", "q.occ", "z.wait"]
         assert list(registry.as_dict()) == registry.names()
         with pytest.raises(TypeError):
-            registry.gauge("z.count")
+            registry.time_series("z.wait")
         # same-name same-type returns the existing metric
-        assert registry.counter("z.count").value == 1
-
-    def test_registry_merge(self):
-        a = MetricsRegistry()
-        a.counter("n").inc(2)
-        b = MetricsRegistry()
-        b.counter("n").inc(3)
-        b.histogram("h", buckets=DEFAULT_CYCLE_BUCKETS).observe(1)
-        a.merge(b)
-        assert a.counter("n").value == 5
-        assert a.get("h").count == 1
+        assert registry.histogram("z.wait").count == 1
 
 
 class TestUtilization:

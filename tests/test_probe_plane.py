@@ -21,9 +21,9 @@ import os
 import pytest
 
 from repro.apps.ofdm import OfdmParameters, run_ofdm
+from repro.dse.spec import DEFAULT_STYLE
 from repro.cli import main
 from repro.faults import HEAVY_SCENARIO, RecoveryPolicy, compile_plan
-from repro.faults.chaos import CHAOS_STYLES
 from repro.obs import Observability
 from repro.obs.tracer import write_chrome_trace, write_jsonl
 from repro.options import presets
@@ -120,9 +120,7 @@ class TestPins:
         arch, kernel = case.split("/")
         machine = build_machine(presets.preset(arch, 4), kernel=kernel)
         monitor = machine.attach_monitors(fail_fast=False)
-        result = run_ofdm(
-            machine, CHAOS_STYLES.get(arch, "PPA"), OfdmParameters(packets=1)
-        )
+        result = run_ofdm(machine, DEFAULT_STYLE[arch], OfdmParameters(packets=1))
         pin = _monitor_pin(monitor)
         pin["cycles"] = result.cycles
         assert pin == PINS["verify"][case]

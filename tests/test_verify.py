@@ -8,6 +8,8 @@ be caught.
 """
 
 import copy
+import json
+import os
 
 import pytest
 
@@ -22,6 +24,7 @@ from repro.sim.fifo import HardwareFifo
 from repro.sim.kernel import Simulator
 from repro.sim.probe import subscribe
 from repro.verify import (
+    SMOKE_ARCHITECTURES,
     VERIFY_ARCHITECTURES,
     Finding,
     ProtocolMonitor,
@@ -32,6 +35,15 @@ from repro.verify import (
     run_verify,
     run_verify_case,
 )
+
+SWEEP_PINS_PATH = os.path.join(os.path.dirname(__file__), "data", "sweep_pins.json")
+
+
+def _sweep_pin(name):
+    """A ``run_verify``/``run_chaos`` summary recorded before the four
+    harnesses shared one oracle (``repro.fuzz.oracle.run_case``)."""
+    with open(SWEEP_PINS_PATH) as handle:
+        return json.load(handle)[name]
 
 
 def _graphs(arch, pe_count=4):
@@ -288,6 +300,22 @@ class TestMonitoredRuns:
         assert len(summary["cases"]) == 1
         row = summary["cases"][0]
         assert row["arch"] == "GGBA" and row["backend"] == "heap"
+
+    @pytest.mark.parametrize(
+        "pin,kwargs",
+        [
+            ("verify_default_packets1", {"packets": 1}),
+            (
+                "verify_smoke_w32",
+                {"archs": SMOKE_ARCHITECTURES, "data_width": 32, "packets": 1},
+            ),
+        ],
+    )
+    def test_sweep_matches_pin(self, pin, kwargs):
+        # Every row, bus count and finding on heap and compiled.
+        summary = json.loads(json.dumps(run_verify(**kwargs)))
+        assert summary["failures"] == []
+        assert summary == _sweep_pin(pin)
 
     def test_run_verify_rejects_unknown_arch(self):
         with pytest.raises(ValueError, match="unknown architecture"):
