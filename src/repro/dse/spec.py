@@ -166,10 +166,12 @@ class DseConfig:
         return " ".join(parts)
 
 
-def _normalize(raw: Dict[str, Any], score: Dict[str, Any], seed: int):
+def _normalize(raw: Dict[str, Any], score: Dict[str, Any], seed: int, strict: bool = False):
     """Turn one raw combination into a canonical config or a skip reason.
 
-    Returns ``(config, None)`` or ``(None, reason)``.
+    Returns ``(config, None)`` or ``(None, reason)``.  With ``strict`` an
+    option the spec builder rejects raises its :class:`OptionError` (whose
+    message names the legal values) instead of returning ``"option-error"``.
     """
     bus = str(raw["bus"]).upper()
     if bus not in presets.PRESETS:
@@ -232,6 +234,8 @@ def _normalize(raw: Dict[str, Any], score: Dict[str, Any], seed: int):
     try:
         build_config_spec(config)
     except OptionError:
+        if strict:
+            raise
         return None, "option-error"
     return config, None
 
@@ -240,6 +244,7 @@ def normalize_options(
     raw: Dict[str, Any],
     score: Optional[Dict[str, Any]] = None,
     seed: int = 0,
+    strict: bool = False,
 ):
     """Normalize a (possibly partial) raw option dict into a legal config.
 
@@ -248,11 +253,13 @@ def normalize_options(
     sampler and shrinker, ``repro.fuzz``) can pass just the dimensions
     they care about.  Returns ``(config, None)`` for a legal combination
     and ``(None, skip_reason)`` otherwise; a legal return is guaranteed
-    buildable (``build_config_spec`` validated it).
+    buildable (``build_config_spec`` validated it).  ``strict`` re-raises
+    the spec builder's :class:`OptionError` rather than returning
+    ``"option-error"``.
     """
     merged = dict(DEFAULTS)
     merged.update(raw)
-    return _normalize(merged, score or {}, seed)
+    return _normalize(merged, score or {}, seed, strict)
 
 
 @dataclass

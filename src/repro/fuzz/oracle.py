@@ -139,7 +139,10 @@ def sweep_config(
     }
     if data_width is not None:
         raw["data_width"] = data_width
-    config, reason = normalize_options(raw)
+    try:
+        config, reason = normalize_options(raw, strict=True)
+    except OptionError as error:
+        config, reason = None, "option-error: %s" % error
     if config is None:
         raise OptionError(
             "%s with pes=%d packets=%d%s is not a legal case (%s)"

@@ -105,6 +105,42 @@ class Cache:
         lines[tag] = write
         return False, self.line_words, writeback_words
 
+    def access_lines(
+        self, word_address: int, lines: int, write: bool = False
+    ) -> Tuple[int, int, int]:
+        """Touch ``lines`` consecutive lines, starting with the one holding
+        ``word_address``; returns ``(hits, misses, writebacks)``.
+
+        The per-line :meth:`access` loop in one call: the same dict
+        operations in the same order, so hits, misses, evictions,
+        writebacks, LRU order and dirty bits all end up identical.
+        """
+        line_index = word_address // self.line_words
+        sets = self._sets
+        set_count = self.sets
+        ways = self.ways
+        hits = misses = evictions = writebacks = 0
+        for index in range(line_index, line_index + lines):
+            resident = sets[index % set_count]
+            tag = index // set_count
+            dirty = resident.pop(tag, None)
+            if dirty is not None:
+                resident[tag] = dirty or write
+                hits += 1
+                continue
+            misses += 1
+            if len(resident) >= ways:
+                evictions += 1
+                if resident.pop(next(iter(resident))):
+                    writebacks += 1
+            resident[tag] = write
+        stats = self.stats
+        stats.hits += hits
+        stats.misses += misses
+        stats.evictions += evictions
+        stats.writebacks += writebacks
+        return hits, misses, writebacks
+
     def flush(self) -> int:
         """Invalidate everything; returns dirty words that would write back."""
         writeback_words = 0

@@ -47,6 +47,7 @@ from ..kernel import (
     Timeout,
     WheelSimulator,
     _LOW_MASKS,
+    _NO_DEADLINE,
     _PooledTimeout,
     _WHEEL_BITS,
     _WHEEL_CLEARS,
@@ -86,7 +87,7 @@ def {name}(sim, stop_event, deadline, limit):
     low_masks = _LOW_MASKS
     llen = len
     steps = 0
-    pending1 = []
+    pending1 = sim._pending1
     p1_append = pending1.append
     try:
         while True:
@@ -142,6 +143,7 @@ def {name}(sim, stop_event, deadline, limit):
             appended = 0
             add_bits = 0
             limit_left = limit - steps
+            drain = sim._drain = iter(bucket)
             try:
                 # Iterating the live list: a CPython list iterator picks up
                 # entries appended during iteration, so zero-delay events
@@ -149,7 +151,9 @@ def {name}(sim, stop_event, deadline, limit):
                 # without a len() call or subscript per event.  ``steps`` is
                 # folded in once per bucket (finally); the per-event limit
                 # guard compares ``fired`` against the hoisted remainder.
-                for entry in bucket:
+                # The iterator is published as sim._drain (and the delay-1
+                # batch as sim._pending1) for sim.horizon().
+                for entry in drain:
 ?S                  if stop_event._fired:
 ?S                      return stop_event.value
                     fired += 1
@@ -226,6 +230,7 @@ def {name}(sim, stop_event, deadline, limit):
                     if fired > limit_left:
                         raise SimulationError("event limit exceeded (livelock?)")
             finally:
+                sim._drain = None
                 steps += fired
                 if pending1:
                     next_bucket.extend(pending1)
@@ -509,11 +514,16 @@ class CompiledSimulator(WheelSimulator):
             deadline = int(until)
         if self.monitor_depth:
             return _compile_variant("monitored")(self, stop_event, deadline, limit)
-        if stop_event is not None:
-            return _compile_variant("stop")(self, stop_event, None, limit)
-        if deadline is not None:
-            return _compile_variant("deadline")(self, None, deadline, limit)
-        return _compile_variant("plain")(self, None, None, limit)
+        outer_cap = self._horizon_cap
+        self._horizon_cap = _NO_DEADLINE if deadline is None else deadline
+        try:
+            if stop_event is not None:
+                return _compile_variant("stop")(self, stop_event, None, limit)
+            if deadline is not None:
+                return _compile_variant("deadline")(self, None, deadline, limit)
+            return _compile_variant("plain")(self, None, None, limit)
+        finally:
+            self._horizon_cap = outer_cap
 
     # -- stepping -------------------------------------------------------
     def step(self) -> None:

@@ -55,32 +55,13 @@ def _segment_is_clean(segment) -> bool:
     )
 
 
-def _static_segment(machine, pe, device):
-    """The single segment serving ``pe`` -> ``device`` for every bridge
-    state, or None when the route is bridged, unreachable, or multi-segment.
-
-    Mirrors ``Machine._route_plan``: point-to-point devices always ride the
-    master's home segment, and a directly-mastered target segment is always
-    a one-hop route -- neither consults the bridge-enable mask, so the baked
-    route stays valid when bridges toggle.
-    """
-    if device.point_to_point:
-        if device.parties and pe.name not in device.parties:
-            return None
-        return machine.home_segment[pe.name]
-    segment = device.segment
-    if segment is not None and segment in machine.direct_segments[pe.name]:
-        return segment
-    return None
-
-
 def eligible_pairs(machine):
     """Yield ``(pe, device, segment)`` for every specializable pair."""
     for pe in machine.pes.values():
         for device in machine.devices.values():
             if device.kind not in ("memory", "hsregs"):
                 continue
-            segment = _static_segment(machine, pe, device)
+            segment = machine.static_segment(pe, device)
             if segment is None or not _segment_is_clean(segment):
                 continue
             yield pe, device, segment

@@ -147,6 +147,8 @@ class Machine:
         # per-(master, device) dispatch installed as instance attributes.
         self._specialized = False
         self._specialized_source: Optional[str] = None
+        # Handshake polls being fast-forwarded (repro.soc.api.SocAPI.reg_wait).
+        self._poll_trains: list = []
 
     # ------------------------------------------------------------------
     # Observability
@@ -367,6 +369,24 @@ class Machine:
                 % (pe.name, device.name, target_segment.name if target_segment else None)
             )
         return best
+
+    def static_segment(self, pe: ProcessingElement, device: Device) -> Optional[BusSegment]:
+        """The single segment serving ``pe`` -> ``device`` for every bridge
+        state, or None when the route is bridged, unreachable, or
+        multi-segment.
+
+        Mirrors :meth:`_route_plan`: point-to-point devices always ride the
+        master's home segment, and a directly-mastered target segment is
+        always a one-hop route -- neither consults the bridge-enable mask.
+        """
+        if device.point_to_point:
+            if device.parties and pe.name not in device.parties:
+                return None
+            return self.home_segment[pe.name]
+        segment = device.segment
+        if segment is not None and segment in self.direct_segments[pe.name]:
+            return segment
+        return None
 
     def _plan_for(self, pe: ProcessingElement, device: Device) -> _PreparedPlan:
         """Cached :class:`_PreparedPlan` for ``pe`` -> ``device``.

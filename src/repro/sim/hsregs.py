@@ -105,6 +105,10 @@ class RegisterWaiter:
     watcher list.  Timer, hop and token are pooled kernel proxies; the
     token is fresh per arm, so the process's ``_target`` identity check
     discards a wake of an arm abandoned by an interrupt.
+
+    A wake also records the process that yielded the token
+    (``_sleeper``): a poll train fast-forwarded by ``reg_wait`` is
+    recognised mid-probe by that process's pending entry.
     """
 
     __slots__ = (
@@ -118,6 +122,7 @@ class RegisterWaiter:
         "_token",
         "_on_timer",
         "_on_hop",
+        "_sleeper",
     )
 
     def __init__(self, block: "HandshakeRegisters", register: str):
@@ -133,6 +138,7 @@ class RegisterWaiter:
         # Bound once, not per arm.
         self._on_timer = self._timer_fired
         self._on_hop = self._hop_fired
+        self._sleeper = None  # the process the last wake resumed
 
     @property
     def busy(self) -> bool:
@@ -183,6 +189,9 @@ class RegisterWaiter:
     def _wake(self) -> None:
         self._timer = self._hop = None
         token, self._token = self._token, None
+        callbacks = token.callbacks
+        if callbacks:
+            self._sleeper = getattr(callbacks[0], "__self__", None)
         self.sim._schedule(token)
 
 

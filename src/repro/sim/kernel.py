@@ -134,6 +134,35 @@ def total_events_processed() -> int:
     return _TOTAL_EVENTS
 
 
+# The horizon cap of a run() without a deadline.
+_NO_DEADLINE = float("inf")
+
+
+def _heap_first(heap: List, skip) -> Optional[int]:
+    """Cycle of the earliest ``(when, seq, event)`` entry of ``heap`` whose
+    event's ``id`` is not in ``skip``, or None.
+
+    Walks the heap in order without popping: a frontier heap of child
+    indices, so the cost grows with the skipped entries met on the way.
+    """
+    if not heap:
+        return None
+    top = heap[0]
+    if id(top[2]) not in skip:
+        return top[0]
+    size = len(heap)
+    frontier = [(top[0], top[1], 0)]
+    while frontier:
+        when, _seq, index = heappop(frontier)
+        if id(heap[index][2]) not in skip:
+            return when
+        for child in (2 * index + 1, 2 * index + 2):
+            if child < size:
+                entry = heap[child]
+                heappush(frontier, (entry[0], entry[1], child))
+    return None
+
+
 class SimulationError(Exception):
     """Raised for kernel misuse (double-firing an event, bad yields, ...)."""
 
@@ -461,6 +490,7 @@ class Simulator:
         "events_processed",
         "monitor_depth",
         "peak_queue_depth",
+        "_horizon_cap",
     )
 
     # Backend identity; subclasses override.  _use_direct is the flag
@@ -497,6 +527,9 @@ class Simulator:
         # ever got.  Off by default so the fast loop stays branch-free.
         self.monitor_depth = False
         self.peak_queue_depth = 0
+        # Inside an unmonitored run(): its deadline (or _NO_DEADLINE);
+        # None otherwise.  horizon() answers only while it is set.
+        self._horizon_cap: Optional[float] = None
 
     # -- event construction helpers ------------------------------------
     def event(self) -> Event:
@@ -561,6 +594,23 @@ class Simulator:
         """Cycle of the next pending event, or None when quiescent."""
         return self._queue[0][0] if self._queue else None
 
+    def horizon(self, skip) -> Optional[int]:
+        """Earliest cycle of a pending entry whose ``id`` is not in ``skip``,
+        capped at the active ``run()`` deadline.
+
+        Read-only.  None when no such entry is pending, and always None
+        outside an unmonitored ``run()`` (under :meth:`step`, for one) --
+        callers use it to prove that nothing but the skipped entries can
+        fire before the returned cycle (see ``SocAPI.reg_wait``).
+        """
+        cap = self._horizon_cap
+        if cap is None:
+            return None
+        when = _heap_first(self._queue, skip)
+        if when is None:
+            return None
+        return when if when < cap else cap
+
     def step(self) -> None:
         if self.monitor_depth and len(self._queue) > self.peak_queue_depth:
             self.peak_queue_depth = len(self._queue)
@@ -608,6 +658,8 @@ class Simulator:
         pop = heappop
         pooled_type = _PooledTimeout
         steps = 0
+        outer_cap = self._horizon_cap
+        self._horizon_cap = _NO_DEADLINE if deadline is None else deadline
         try:
             while queue:
                 if stop_event is not None and stop_event._fired:
@@ -634,6 +686,7 @@ class Simulator:
                 self.now = deadline
             return None
         finally:
+            self._horizon_cap = outer_cap
             self.events_processed += steps
             global _TOTAL_EVENTS
             _TOTAL_EVENTS += steps
@@ -732,7 +785,15 @@ class WheelSimulator(Simulator):
     advances to the next populated cycle, never past a pending entry).
     """
 
-    __slots__ = ("_buckets", "_occupied", "_overflow", "_overflow_seq", "_wheel_count")
+    __slots__ = (
+        "_buckets",
+        "_occupied",
+        "_overflow",
+        "_overflow_seq",
+        "_wheel_count",
+        "_pending1",
+        "_drain",
+    )
 
     def __init__(self, kernel: Optional[str] = None):
         super().__init__()
@@ -741,6 +802,11 @@ class WheelSimulator(Simulator):
         self._overflow: List = []
         self._overflow_seq = 0
         self._wheel_count = 0
+        # Run-loop state that horizon() reads mid-drain: the batch of
+        # delay-1 entries not yet flushed into the next bucket, and the
+        # iterator draining the current bucket (None outside a drain).
+        self._pending1: List = []
+        self._drain = None
 
     # -- scheduling -----------------------------------------------------
     def _schedule(self, event: Event, delay: int = 0) -> None:
@@ -779,6 +845,81 @@ class WheelSimulator(Simulator):
 
     def peek(self) -> Optional[int]:
         return self._next_cycle()
+
+    def horizon(self, skip) -> Optional[int]:
+        """:meth:`Simulator.horizon` on the wheel.
+
+        Mid-drain the current bucket's undrained tail, the unflushed
+        delay-1 batch and the next bucket are read directly; the bitmask
+        locates the rest, and the overflow heap is walked like the heap
+        backend's queue.  The compiled run loop sets the bits of buckets
+        its drain appended a resumed process to only when the drain ends,
+        so while a process drained earlier in the cycle may be pending the
+        mask is rebuilt from the buckets.
+        """
+        cap = self._horizon_cap
+        if cap is None:
+            return None
+        now = self.now
+        # Overflow entries come due like any other: one may be due now or
+        # next cycle, so it bounds every wheel candidate below.
+        when = _heap_first(self._overflow, skip)
+        buckets = self._buckets
+        index = now & _WHEEL_MASK
+        bucket = buckets[index]
+        occupied = self._occupied
+        drain = self._drain
+        start = 0
+        if drain is not None:
+            start = len(bucket) - drain.__length_hint__()
+            # Every drained entry but the running one (the caller's).
+            for position in range(start - 1):
+                entry = bucket[position]
+                if type(entry) is tuple and id(entry) not in skip:
+                    occupied = 0
+                    for slot, entries in enumerate(buckets):
+                        if entries:
+                            occupied |= _WHEEL_BITS[slot]
+                    break
+        for position in range(start, len(bucket)):
+            if id(bucket[position]) not in skip:
+                when = now
+                break
+        else:
+            following = (index + 1) & _WHEEL_MASK
+            if when is None or when > now + 1:
+                for entry in self._pending1:
+                    if id(entry) not in skip:
+                        when = now + 1
+                        break
+                else:
+                    for entry in buckets[following]:
+                        if id(entry) not in skip:
+                            when = now + 1
+                            break
+            occupied &= _WHEEL_CLEARS[index] & _WHEEL_CLEARS[following]
+            while occupied:
+                # Lowest set bit at or after ``now``'s position, wrapping once.
+                ahead = occupied >> index
+                if ahead:
+                    offset = (ahead & -ahead).bit_length() - 1
+                else:
+                    low = occupied & _LOW_MASKS[index]
+                    offset = WHEEL_SIZE - index + (low & -low).bit_length() - 1
+                if when is not None and now + offset >= when:
+                    break
+                slot = (index + offset) & _WHEEL_MASK
+                for entry in buckets[slot]:
+                    if id(entry) not in skip:
+                        when = now + offset
+                        break
+                else:
+                    occupied &= _WHEEL_CLEARS[slot]
+                    continue
+                break
+        if when is None:
+            return None
+        return when if when < cap else cap
 
     @property
     def pending_events(self) -> int:

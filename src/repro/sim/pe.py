@@ -248,21 +248,9 @@ class ProcessingElement:
         line_words = dcache.line_words
         start_line = touch.address // line_words
         end_line = (touch.address + max(touch.words, 1) - 1) // line_words
-        access = dcache.access
-        write = touch.write
-        hits = 0
-        misses = 0
-        writebacks = 0
-        for line_address in range(
-            start_line * line_words, (end_line + 1) * line_words, line_words
-        ):
-            hit, _fill, wb = access(line_address, write)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-            if wb:
-                writebacks += 1
+        hits, misses, writebacks = dcache.access_lines(
+            start_line * line_words, end_line - start_line + 1, touch.write
+        )
         self.stats.dcache_hits += hits
         self.stats.dcache_misses += misses
         if misses:

@@ -57,15 +57,21 @@ SMOKE_ARCHITECTURES = ["BFBA", "SPLITBA"]
 
 
 def run_verify_case(
-    case: Tuple[str, str],
+    case: Tuple[str, str, bool],
     packets: int = 2,
     pe_count: int = 4,
     data_width: Optional[int] = None,
 ) -> Dict[str, Any]:
-    """Run one ``(arch, backend)`` verification case; picklable."""
-    arch, backend = case
+    """Run one ``(arch, backend, check_structure)`` verification case;
+    picklable.
+
+    ``check_structure`` False skips the structural check (it does not
+    depend on the scheduler backend; :func:`run_verify` runs it once per
+    architecture) and leaves ``structural_findings`` None.
+    """
+    arch, backend, check_structure = case
     config = sweep_config(arch, pe_count, packets, data_width)
-    structural = _check_structural(config, BusSyn())
+    structural = _check_structural(config, BusSyn()) if check_structure else None
     bare = run_case(config, backend)
     monitored = run_case(config, backend, monitors=True)
     return {
@@ -98,7 +104,13 @@ def run_verify(
     archs = [str(arch).upper() for arch in (archs or VERIFY_ARCHITECTURES)]
     for arch in archs:
         sweep_config(arch, pe_count, packets, data_width)
-    cases = [(arch, backend) for arch in archs for backend in backends]
+    # The structural check runs with each architecture's first backend;
+    # the other backends' rows get a copy of its findings.
+    cases = [
+        (arch, backend, index == 0)
+        for arch in archs
+        for index, backend in enumerate(backends)
+    ]
     results, _telemetry = run_cases(
         run_verify_case,
         cases,
@@ -108,6 +120,9 @@ def run_verify(
     by_key = {(row["arch"], row["backend"]): row for row in results}
     failures: List[str] = []
     for arch in archs:
+        structural = by_key[(arch, backends[0])]["structural_findings"]
+        for backend in backends[1:]:
+            by_key[(arch, backend)]["structural_findings"] = list(structural)
         for backend in backends:
             row = by_key[(arch, backend)]
             failures.extend(

@@ -229,3 +229,12 @@ def test_malformed_counts_and_combinations_exit_2(argv, capsys):
     err = capsys.readouterr().err
     assert "error" in err
     assert "Traceback" not in err
+
+
+def test_illegal_case_keeps_the_option_error_text(capsys):
+    """An illegal verify case names the option error's menu, not just the
+    skip-reason key."""
+    assert main(["verify", "--arch", "BFBA", "--data-width", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "option-error" in err
+    assert "(32, 64, 128)" in err

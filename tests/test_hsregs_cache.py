@@ -210,3 +210,38 @@ class TestCache:
             cache.access(address)
         distinct_lines = len({a // cache.line_words for a in addresses})
         assert cache.stats.misses == distinct_lines
+
+    @given(
+        st.sampled_from([(256, 2), (512, 4), (1024, 2)]),
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2047),
+                st.integers(min_value=1, max_value=40),
+                st.booleans(),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_access_lines_matches_per_line_walk(self, geometry, passes):
+        """The bulk line walk leaves a small (evicting) cache exactly as the
+        per-line access() loop does: counts, LRU order and dirty bits."""
+        size_bytes, ways = geometry
+        bulk = Cache("bulk", size_bytes=size_bytes, line_bytes=32, ways=ways)
+        loop = Cache("loop", size_bytes=size_bytes, line_bytes=32, ways=ways)
+        for address, lines, write in passes:
+            got = bulk.access_lines(address, lines, write)
+            first = address // loop.line_words
+            hits = misses = writebacks = 0
+            for line in range(first, first + lines):
+                hit, _fill, writeback = loop.access(line * loop.line_words, write)
+                hits += hit
+                misses += not hit
+                writebacks += bool(writeback)
+            assert got == (hits, misses, writebacks)
+        for field in ("hits", "misses", "evictions", "writebacks"):
+            assert getattr(bulk.stats, field) == getattr(loop.stats, field)
+        assert [list(s.items()) for s in bulk._sets] == [
+            list(s.items()) for s in loop._sets
+        ]

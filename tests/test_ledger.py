@@ -16,6 +16,7 @@ Pins the fleet-telemetry contracts of ``repro.obs.ledger`` and
 
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -121,8 +122,26 @@ class TestRecordDeterminism:
         assert validate_ledger_records([record]) == []
 
     def test_git_revision_in_repo_and_outside(self, tmp_path):
-        here = git_revision(os.path.dirname(os.path.dirname(__file__)))
+        # A throwaway repository with one commit, so the check does not
+        # depend on how this checkout was made (a git archive has no .git).
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        git = [
+            "git",
+            "-c", "user.name=ledger-test",
+            "-c", "user.email=ledger-test@example.invalid",
+            "-c", "commit.gpgsign=false",
+            "-c", "init.defaultBranch=main",
+        ]
+        (repo / "file.txt").write_text("one\n")
+        for args in (["init", "-q"], ["add", "file.txt"], ["commit", "-q", "-m", "one"]):
+            subprocess.run(git + args, cwd=str(repo), check=True, capture_output=True)
+        head = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=str(repo), check=True, capture_output=True
+        ).stdout.decode("ascii").strip()
+        here = git_revision(str(repo))
         assert here != "unknown" and len(here) >= 7
+        assert head.startswith(here)
         assert git_revision(str(tmp_path)) == "unknown"
 
 

@@ -277,7 +277,7 @@ class TestMonitoredRuns:
         [("BFBA", "heap"), ("GBAVIII", "compiled"), ("SPLITBA", "heap")],
     )
     def test_verify_case_green(self, arch, backend):
-        row = run_verify_case((arch, backend), packets=1)
+        row = run_verify_case((arch, backend, True), packets=1)
         assert row["structural_findings"] == []
         assert row["runtime_findings"] == []
         # Free-when-off: the monitored run is bit-identical to baseline.
